@@ -22,6 +22,7 @@ from .equivalence import (
 )
 from .errors import (
     ConfigurationError,
+    EigensolverError,
     GraphStructureError,
     KernelFitError,
     OptimizationError,

@@ -19,7 +19,8 @@ from .datasets import LabeledDataset, gen_blobs, gen_two_moons, load_csv, save_c
 from .errors import ConfigurationError
 from .fuzzy import build_similarity_graph
 from .kernels import KernelParams, fit_ab
-from .optim import OptimizerConfig, init_embedding, optimize
+from .optim import OptimizerConfig, init_embedding, optimize, spectral_embedding
+from .spectra import count_components, spectral_init
 from .svgplot import svg_scatter
 
 
@@ -185,8 +186,13 @@ def cmd_embed(args) -> int:
         move_other=args.move_other,
         samples_per_epoch=args.samples_per_epoch,
     )
+    sol = None
     try:
-        Y0 = init_embedding(V, args.dim, args.init, args.seed)
+        if args.init == "spectral":
+            sol = spectral_init(V, args.dim)
+            Y0 = spectral_embedding(sol)
+        else:
+            Y0 = init_embedding(V, args.dim, args.init, args.seed)
         result = optimize(V, Y0, kernel, cfg)
     except Exception as exc:
         print(f"error [optimizer, init={args.init}]: {exc}", file=sys.stderr)
@@ -205,16 +211,22 @@ def cmd_embed(args) -> int:
     if args.dump_graph:
         V.save_edge_list(out_dir / "graph.txt")
 
+    deg = V.degrees()
     report = {
         "config": _effective_config(args),
         "kernel": {"family": kernel.family, "a": kernel.a, "b": kernel.b,
                    "tau": kernel.tau, **fit_info},
         "n": ds.data.n,
         "graph_nnz": V.nnz,
+        "graph": {"components": count_components(V),
+                  "degree_min": float(deg.min()), "degree_max": float(deg.max())},
         "self_collisions": result.self_collisions,
         "initial_total": result.trace[0].loss.total if result.trace[0].loss else None,
         "final_total": result.trace[-1].loss.total if result.trace[-1].loss else None,
     }
+    if sol is not None:
+        report["spectral"] = {"values": sol.values.tolist(), "n_null": sol.n_null,
+                              "residual": sol.residual}
     (out_dir / "run.json").write_text(json.dumps(report, indent=2) + "\n")
     print(f"embedded {ds.data.n} points into {coords.shape[1]} dims; "
           f"outputs in {out_dir}")

@@ -19,3 +19,7 @@ class KernelFitError(RuntimeError):
 
 class OptimizationError(RuntimeError):
     """Raised when the embedding optimizer hits a non-finite state."""
+
+
+class EigensolverError(RuntimeError):
+    """Raised when an eigensolver does not converge or misses its residual tolerance."""

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .datasets import DataMatrix
-from .errors import ConfigurationError, GraphStructureError
+from .errors import ConfigurationError, GraphStructureError, ParseError
 from .knn import KnnGraph, knn_search
 
 BRACKET_LO = 1e-8
@@ -215,14 +215,50 @@ class SimilarityGraph:
 
     @classmethod
     def load_edge_list(cls, path) -> "SimilarityGraph":
-        text = Path(path).read_text().strip().splitlines()
-        n = int(text[0])
+        """Inverse of ``save_edge_list``; errors name the 1-based line.
+
+        Raises ``ParseError`` for a bad header, a line without exactly three
+        fields or a non-numeric field, and ``GraphStructureError`` for an
+        index outside [0, n), a self-loop, a weight outside [0, 1] or an edge
+        given twice (in either orientation).
+        """
+        lines = Path(path).read_text().splitlines()
+        header = lines[0].strip() if lines else ""
+        try:
+            n = int(header)
+        except ValueError:
+            raise ParseError(f"line 1: header must be the vertex count, got {header!r}") from None
+        if n < 1:
+            raise ParseError(f"line 1: vertex count must be >= 1, got {n}")
+        seen: set[tuple[int, int]] = set()
         rows, cols, vals = [], [], []
-        for line in text[1:]:
-            a, b, v = line.split()
-            rows += [int(a), int(b)]
-            cols += [int(b), int(a)]
-            vals += [float(v), float(v)]
+        for lineno, line in enumerate(lines[1:], start=2):
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) != 3:
+                raise ParseError(f"line {lineno}: expected 'i j w', got {line.strip()!r}")
+            try:
+                a, b, v = int(fields[0]), int(fields[1]), float(fields[2])
+            except ValueError:
+                raise ParseError(
+                    f"line {lineno}: non-numeric or non-integer field in {line.strip()!r}"
+                ) from None
+            if not (0 <= a < n and 0 <= b < n):
+                raise GraphStructureError(
+                    f"line {lineno}: vertex index outside [0, {n}) in {line.strip()!r}"
+                )
+            if a == b or not 0.0 <= v <= 1.0:
+                raise GraphStructureError(
+                    f"line {lineno}: need i != j and a weight in [0, 1], got {line.strip()!r}"
+                )
+            key = (min(a, b), max(a, b))
+            if key in seen:
+                raise GraphStructureError(f"line {lineno}: duplicate edge {key[0]} {key[1]}")
+            seen.add(key)
+            rows += [a, b]
+            cols += [b, a]
+            vals += [v, v]
         return cls(sp.csr_matrix((vals, (rows, cols)), shape=(n, n)))
 
 

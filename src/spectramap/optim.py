@@ -19,10 +19,12 @@ from .errors import ConfigurationError, OptimizationError
 from .fuzzy import SimilarityGraph
 from .kernels import KernelParams, grad_log_one_minus_phi, grad_log_phi
 from .losses import LossReport, cross_entropy_loss
-from .spectra import spectral_init
+from .spectra import SpectralSolution, spectral_init
 
 # full-loss tracing is O(n^2) per epoch; skip it for large graphs
 TRACE_MAX_N = 5000
+# spectral starting coordinates are rescaled to this max-abs
+SPECTRAL_MAX_ABS = 10.0
 
 
 @dataclass(frozen=True)
@@ -96,10 +98,6 @@ class EdgeSampler:
         pairs = self.endpoints[idx]
         return np.where(flip[:, None], pairs[:, ::-1], pairs)
 
-    def sample_positive(self, rng: np.random.Generator) -> tuple[int, int]:
-        a, b = self.sample_ordered_pairs(rng, 1)[0]
-        return int(a), int(b)
-
 
 def _build_alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vose's O(m) alias-table construction for weighted sampling."""
@@ -139,8 +137,12 @@ def init_embedding(
         return Embedding(rng.uniform(-10.0, 10.0, size=(V.n, d)), "random")
     if mode != "spectral":
         raise ConfigurationError(f"unknown init mode {mode!r}")
-    sol = spectral_init(V, d)
-    coords = sol.vectors * (10.0 / np.abs(sol.vectors).max())
+    return spectral_embedding(spectral_init(V, d))
+
+
+def spectral_embedding(sol: SpectralSolution) -> Embedding:
+    """The spectral layout rescaled to max-abs ``SPECTRAL_MAX_ABS``."""
+    coords = sol.vectors * (SPECTRAL_MAX_ABS / np.abs(sol.vectors).max())
     return Embedding(coords, "spectral")
 
 

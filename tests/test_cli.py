@@ -45,6 +45,14 @@ class TestEmbed:
         assert (out / "run.json").exists()
         report = json.loads((out / "run.json").read_text())
         assert report["final_total"] < report["initial_total"]
+        graph = report["graph"]
+        assert graph["components"] >= 1
+        assert 0.0 < graph["degree_min"] <= graph["degree_max"]
+        spectral = report["spectral"]
+        assert len(spectral["values"]) == 2
+        assert spectral["values"] == sorted(spectral["values"])
+        assert spectral["n_null"] == graph["components"]
+        assert 0.0 <= spectral["residual"] <= 1e-8
 
     def test_svg_well_formed_one_marker_per_point(self, tmp_path):
         code, out = self._embed(tmp_path)
@@ -62,6 +70,7 @@ class TestEmbed:
             "--init", "random", "--seed", 7, "--out-dir", out,
         )
         assert run_cli(*args) == 0
+        assert "spectral" not in json.loads((out / "run.json").read_text())
         names = ("embedding.csv", "trace.jsonl", "scatter.svg", "run.json")
         first = {name: (out / name).read_bytes() for name in names}
         assert run_cli(*args) == 0

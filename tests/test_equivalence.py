@@ -25,6 +25,28 @@ class TestGaussianExactness:
         rep = eq.check_gaussian_exactness(30, 2, 1.0, 0, _sign=-1.0)
         assert not rep.passed
 
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
+    def test_runs_at_spectral_init_scale(self, tau):
+        rep = eq.check_gaussian_exactness(30, 2, tau, 4)
+        assert rep.passed
+        small, large = rep.context["max_abs_y"]
+        assert small <= 0.5 and large == pytest.approx(10.0)
+        assert rep.residual == max(rep.context["residuals"])
+
+    def test_catches_a_clamp_that_bites_only_at_init_scale(self, monkeypatch):
+        # log(max(phi, 1e-12)) caps each long Gaussian edge term; edges in
+        # [-0.5, 0.5]^2 are too short to reach the cap
+        def clamped(V, Y, p):
+            coo = V.matrix.tocoo()
+            s = np.sum((Y[coo.row] - Y[coo.col]) ** 2, axis=1)
+            return -float(coo.data @ np.log(np.maximum(sm.phi(s, p), 1e-12)))
+
+        monkeypatch.setattr(eq, "attractive_term", clamped)
+        rep = eq.check_gaussian_exactness(30, 2, 0.5, 0)
+        small, large = rep.context["residuals"]
+        assert small <= 1e-10 < large
+        assert not rep.passed
+
 
 class TestCauchyFirstOrder:
     def test_small_scale_tight(self):

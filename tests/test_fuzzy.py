@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import spectramap as sm
-from spectramap.errors import ConfigurationError
+from spectramap.errors import ConfigurationError, GraphStructureError, ParseError
 from spectramap.fuzzy import BRACKET_HI, t_conorm
 from spectramap.knn import KnnGraph
 
@@ -193,6 +193,48 @@ class TestEdgeListSerialization:
         i, j, v = lines[1].split()
         assert (int(i), int(j)) == (0, 1)
         assert float(v) == 1.0
+
+
+class TestEdgeListErrors:
+    def _load(self, tmp_path, text):
+        path = tmp_path / "graph.txt"
+        path.write_text(text)
+        return sm.SimilarityGraph.load_edge_list(path)
+
+    def test_well_formed_file_loads(self, tmp_path):
+        V = self._load(tmp_path, "3\n0 1 0.3\n1 2 0.5\n")
+        assert V.matrix[0, 1] == V.matrix[1, 0] == 0.3
+
+    @pytest.mark.parametrize("header", ["", "three", "2.5", "0"])
+    def test_bad_header(self, tmp_path, header):
+        with pytest.raises(ParseError, match="line 1"):
+            self._load(tmp_path, f"{header}\n0 1 0.3\n")
+
+    @pytest.mark.parametrize("line", ["0 1", "0 1 0.3 7"])
+    def test_wrong_field_count(self, tmp_path, line):
+        with pytest.raises(ParseError, match="line 3"):
+            self._load(tmp_path, f"3\n1 2 0.5\n{line}\n")
+
+    @pytest.mark.parametrize("line", ["0 x 0.3", "0 1 heavy", "0.5 1 0.3"])
+    def test_non_numeric_field(self, tmp_path, line):
+        with pytest.raises(ParseError, match="line 2"):
+            self._load(tmp_path, f"3\n{line}\n")
+
+    @pytest.mark.parametrize("line", ["0 3 0.3", "-1 2 0.3"])
+    def test_index_out_of_range(self, tmp_path, line):
+        with pytest.raises(GraphStructureError, match=r"line 2: .*\[0, 3\)"):
+            self._load(tmp_path, f"3\n{line}\n")
+
+    @pytest.mark.parametrize("second", ["0 1 0.3", "1 0 0.3"])
+    def test_duplicate_edge(self, tmp_path, second):
+        # summing the two lines would silently load weight 0.6
+        with pytest.raises(GraphStructureError, match="line 4: duplicate edge 0 1"):
+            self._load(tmp_path, f"3\n0 1 0.3\n1 2 0.5\n{second}\n")
+
+    @pytest.mark.parametrize("line", ["1 1 0.3", "0 1 1.5", "0 1 nan"])
+    def test_self_loop_or_bad_weight(self, tmp_path, line):
+        with pytest.raises(GraphStructureError, match="line 2"):
+            self._load(tmp_path, f"3\n{line}\n")
 
 
 class TestPipeline:

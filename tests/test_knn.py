@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import spectramap as sm
+from spectramap import knn
 from spectramap.errors import ConfigurationError
 
 
@@ -22,6 +23,24 @@ def brute_force_knn(points, k):
         cand.sort()
         indices[i] = [j for _, j in cand[:k]]
         distances[i] = [np.sqrt(d2) for d2, _ in cand[:k]]
+    return indices, distances
+
+
+def per_row_knn(points, k):
+    """Row-at-a-time search with one full lexsort per row: the reference the
+    blocked search must match bit for bit."""
+    n = len(points)
+    indices = np.empty((n, k), dtype=np.int64)
+    distances = np.empty((n, k))
+    ids = np.arange(n)
+    for i in range(n):
+        d2 = np.zeros(n)
+        for t in range(points.shape[1]):
+            d2 += (points[:, t] - points[i, t]) ** 2
+        d2[i] = np.inf
+        order = np.lexsort((ids, d2))[:k]
+        indices[i] = order
+        distances[i] = np.sqrt(d2[order])
     return indices, distances
 
 
@@ -89,3 +108,41 @@ class TestInvariants:
         X = sm.DataMatrix(np.zeros((5, 2)))
         with pytest.raises(ConfigurationError, match="metric"):
             sm.knn_search(X, 2, metric="cosine")
+
+
+class TestBlockedSearch:
+    N = 1600
+
+    def test_input_spans_several_blocks(self):
+        assert self.N > 2 * (knn.BLOCK_BYTES // (8 * self.N))
+
+    @pytest.mark.parametrize("side,dim,k", [(6, 2, 15), (30, 2, 7), (5, 3, 10), (40, 2, 1)])
+    def test_integer_grid_matches_per_row_reference(self, side, dim, k):
+        # duplicates and equal grid distances everywhere: ties straddle the
+        # k-th boundary, and tied neighbors sit in other row blocks
+        rng = np.random.default_rng(side * 100 + k)
+        pts = rng.integers(0, side, size=(self.N, dim)).astype(np.float64)
+        ref_i, ref_d = per_row_knn(pts, k + 1)
+        assert np.any(ref_d[:, k - 1] == ref_d[:, k])
+        g = sm.knn_search(sm.DataMatrix(pts), k)
+        assert np.array_equal(g.indices, ref_i[:, :k])
+        assert np.array_equal(g.distances, ref_d[:, :k])
+
+    def test_continuous_points_match_per_row_reference(self):
+        rng = np.random.default_rng(12)
+        pts = rng.standard_normal((self.N, 16))
+        g = sm.knn_search(sm.DataMatrix(pts), 15)
+        ref_i, ref_d = per_row_knn(pts, 15)
+        assert np.array_equal(g.indices, ref_i)
+        assert np.array_equal(g.distances, ref_d)
+
+    def test_tiny_blocks(self, monkeypatch):
+        # seven rows per block: many block edges on a small input
+        n = 200
+        monkeypatch.setattr(knn, "BLOCK_BYTES", 8 * n * 7)
+        rng = np.random.default_rng(13)
+        pts = rng.integers(0, 4, size=(n, 2)).astype(np.float64)
+        g = sm.knn_search(sm.DataMatrix(pts), 9)
+        ref_i, ref_d = per_row_knn(pts, 9)
+        assert np.array_equal(g.indices, ref_i)
+        assert np.array_equal(g.distances, ref_d)

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import spectramap as sm
-from spectramap.errors import ConfigurationError, GraphStructureError
+from spectramap import spectra
+from spectramap.errors import ConfigurationError, EigensolverError, GraphStructureError
 from spectramap.spectra import (
+    DENSE_MAX_N,
     NULL_SPACE_TOL,
     Partition,
     count_components,
@@ -156,6 +161,80 @@ class TestSpectralInit:
         sol.save_csv(out)
         loaded = np.loadtxt(out, delimiter=",")
         np.testing.assert_allclose(loaded, sol.vectors, atol=0)
+
+
+def _two_copies(V):
+    return sm.SimilarityGraph(sp.block_diag([V.matrix, V.matrix]).tocsr())
+
+
+@pytest.fixture(scope="module")
+def sparse_path_graphs():
+    """Graphs above the dense cutoff, with their component counts."""
+    blobs = sm.build_similarity_graph(
+        sm.gen_blobs(150, [(0.0, 0.0), (3.0, 0.0)], 1.0, 0).data, 15
+    )
+    moons = sm.build_similarity_graph(sm.gen_two_moons(400, 0.05, 0).data, 10)
+    # each copy has two components, so every eigenvalue is doubled; a
+    # single Lanczos run returns one copy of the lowest pair and the next
+    # eigenvalue in place of the other
+    split = sm.build_similarity_graph(
+        sm.gen_blobs(150, [(0.0, 0.0), (10.0, 0.0)], 1.0, 0).data, 10
+    )
+    return {
+        "blobs": (blobs, 1),
+        "moons": (moons, 2),
+        "two_copies": (_two_copies(split), 4),
+        "two_copies_connected": (_two_copies(blobs), 2),
+    }
+
+
+class TestSparseSpectralInit:
+    @pytest.mark.parametrize("name", ["blobs", "moons", "two_copies", "two_copies_connected"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_dense_eigh(self, sparse_path_graphs, name, d):
+        V, components = sparse_path_graphs[name]
+        assert V.n > DENSE_MAX_N and count_components(V) == components
+        sol = sm.spectral_init(V, d)
+        Ln = sm.build_laplacians(V).normalized
+        vals, vecs = scipy.linalg.eigh(Ln.toarray())
+        assert sol.n_null == components
+        sel = slice(components, components + d)
+        assert np.abs(sol.values - vals[sel]).max() <= 1e-10
+        res = np.linalg.norm(Ln @ sol.vectors - sol.vectors * sol.values, axis=0).max()
+        assert sol.residual == res <= 1e-8
+        trace = float(np.sum(sol.vectors * (Ln @ sol.vectors)))
+        assert abs(trace - vals[sel].sum()) <= 1e-10
+        np.testing.assert_allclose(sol.vectors.T @ sol.vectors, np.eye(d), atol=1e-10)
+        if vals[components + d] - vals[components + d - 1] > 1e-8:
+            angles = scipy.linalg.subspace_angles(sol.vectors, vecs[:, sel])
+            assert angles.max() <= 1e-9
+
+    def test_deterministic(self, sparse_path_graphs):
+        V, _ = sparse_path_graphs["moons"]
+        a, b = sm.spectral_init(V, 2), sm.spectral_init(V, 2)
+        assert np.array_equal(a.vectors, b.vectors)
+        assert np.array_equal(a.values, b.values)
+
+    def test_inexact_pairs_raise(self, sparse_path_graphs, monkeypatch):
+        V, _ = sparse_path_graphs["blobs"]
+        monkeypatch.setattr(spectra, "EIG_RESIDUAL_TOL", -1.0)
+        with pytest.raises(EigensolverError, match=r"n=300, d=2, residual="):
+            sm.spectral_init(V, 2)
+
+    def test_no_convergence_raises(self, sparse_path_graphs, monkeypatch):
+        V, _ = sparse_path_graphs["blobs"]
+
+        def fail(op, k, **kw):
+            raise ArpackNoConvergence("no luck", np.empty(0), np.empty((op.shape[0], 0)))
+
+        monkeypatch.setattr(spectra, "eigsh", fail)
+        with pytest.raises(EigensolverError, match=r"n=300, d=2.*residual"):
+            sm.spectral_init(V, 2)
+
+    def test_dense_path_reports_residual(self, two_blob_graph):
+        assert two_blob_graph.n <= DENSE_MAX_N
+        sol = sm.spectral_init(two_blob_graph, 2)
+        assert 0.0 <= sol.residual <= 1e-8
 
 
 class TestNcut:
