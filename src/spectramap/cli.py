@@ -16,7 +16,7 @@ import numpy as np
 
 from . import equivalence
 from .datasets import LabeledDataset, gen_blobs, gen_two_moons, load_csv, save_csv
-from .errors import ConfigurationError
+from .errors import ConfigurationError, KernelFitError
 from .fuzzy import build_similarity_graph
 from .kernels import KernelParams, fit_ab
 from .optim import OptimizerConfig, init_embedding, optimize, spectral_embedding
@@ -171,21 +171,29 @@ def cmd_embed(args) -> int:
         print(f"error [datasets]: {exc}", file=sys.stderr)
         return 2
     try:
+        kernel, fit_info = _resolve_kernel(args)
+    except (ConfigurationError, KernelFitError) as exc:
+        print(f"error [kernel]: {exc}", file=sys.stderr)
+        return 2
+    try:
+        cfg = OptimizerConfig(
+            n_epochs=args.epochs,
+            n_neg=args.neg,
+            initial_lr=args.lr,
+            clip=args.clip,
+            eps=args.eps,
+            seed=args.seed,
+            move_other=args.move_other,
+            samples_per_epoch=args.samples_per_epoch,
+        )
+    except ConfigurationError as exc:
+        print(f"error [optimizer]: {exc}", file=sys.stderr)
+        return 2
+    try:
         V = build_similarity_graph(ds.data, args.k)
     except Exception as exc:
         print(f"error [graph, k={args.k}]: {exc}", file=sys.stderr)
         return 2
-    kernel, fit_info = _resolve_kernel(args)
-    cfg = OptimizerConfig(
-        n_epochs=args.epochs,
-        n_neg=args.neg,
-        initial_lr=args.lr,
-        clip=args.clip,
-        eps=args.eps,
-        seed=args.seed,
-        move_other=args.move_other,
-        samples_per_epoch=args.samples_per_epoch,
-    )
     sol = None
     try:
         if args.init == "spectral":
@@ -207,6 +215,9 @@ def cmd_embed(args) -> int:
             fh.write(",".join(repr(float(v)) for v in row) + f",{int(lab)}\n")
 
     result.write_trace_jsonl(out_dir / "trace.jsonl")
+    # wall times differ run to run, so they stay out of the reproducible outputs
+    epoch_wall_s = [rec.wall_s for rec in result.trace[1:]]
+    (out_dir / "timing.json").write_text(json.dumps({"epoch_wall_s": epoch_wall_s}) + "\n")
     svg_scatter(coords, ds.labels, out_dir / "scatter.svg")
     if args.dump_graph:
         V.save_edge_list(out_dir / "graph.txt")
@@ -259,7 +270,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fit_ab(args) -> int:
-    fit = fit_ab(args.min_dist)
+    try:
+        fit = fit_ab(args.min_dist)
+    except (ConfigurationError, KernelFitError) as exc:
+        print(f"error [kernel]: {exc}", file=sys.stderr)
+        return 2
     print(f"min_dist={fit.min_dist} a={fit.fitted_a:.6f} b={fit.fitted_b:.6f} "
           f"rmse={fit.fit_rmse:.6e}")
     return 0

@@ -172,6 +172,9 @@ class SimilarityGraph:
         m.sort_indices()
         if m.shape[0] != m.shape[1]:
             raise GraphStructureError("adjacency matrix must be square")
+        if not np.all(np.isfinite(m.data)):
+            # NaN fails every comparison below, so it must be caught first
+            raise GraphStructureError("edge weights must be finite")
         asym = m - m.T
         if asym.nnz and np.abs(asym.data).max() > 0.0:
             raise GraphStructureError("adjacency matrix must be exactly symmetric")

@@ -104,48 +104,62 @@ def log_one_minus_phi(sq_dist, p: KernelParams, eps: float = 0.0):
     return out if out.ndim else float(out)
 
 
-def _sq_norm(v: np.ndarray) -> float:
-    return float(v @ v)
+def grad_log_phi_rows(diff: np.ndarray, p: KernelParams) -> np.ndarray:
+    """Row-wise attraction gradient: row i is the gradient of
+    log phi(||diff_i||^2) with respect to y_a, where diff = y_a - y_b is (m, d).
 
-
-def grad_log_phi(y_a: np.ndarray, y_b: np.ndarray, p: KernelParams) -> np.ndarray:
-    """Gradient of log phi(||y_a - y_b||^2) with respect to y_a (attraction).
-
-    Coincident points return the zero vector: the stationary point for
+    Coincident rows (s == 0) return the zero vector: the stationary point for
     b >= 1 and the documented removable-singularity policy for b < 1.
     """
-    diff = np.asarray(y_a, dtype=np.float64) - np.asarray(y_b, dtype=np.float64)
     if p.family == "gaussian":
         return -diff / p.tau
-    s = _sq_norm(diff)
-    if s == 0.0:
-        return np.zeros_like(diff)
+    s = np.vecdot(diff, diff)
+    zero = s == 0.0
+    s = np.where(zero, 1.0, s)
     coef = -2.0 * p.a * p.b * s ** (p.b - 1.0) / (1.0 + p.a * s**p.b)
-    return coef * diff
+    return np.where(zero[:, None], 0.0, coef[:, None] * diff)
 
 
-def grad_log_one_minus_phi(
-    y_a: np.ndarray, y_c: np.ndarray, p: KernelParams, eps: float = 1e-3
+def grad_log_one_minus_phi_rows(
+    diff: np.ndarray, p: KernelParams, eps: float = 1e-3
 ) -> np.ndarray:
-    """Gradient of the repulsion term with the 1/s factor softened to 1/(s+eps).
+    """Row-wise repulsion gradient with the 1/s factor softened to 1/(s+eps);
+    diff = y_a - y_c is (m, d).
 
-    cauchy_ab: 2b * (y_a - y_c) * [1/(s+eps) - a s^{b-1} / (1 + a s^b)]
-    gaussian:  2  * (y_a - y_c) * q(u) / (s+eps),  q(u) = u / (e^u - 1), u = s/(2 tau)
+    cauchy_ab: 2b * diff * [1/(s+eps) - a s^{b-1} / (1 + a s^b)]
+    gaussian:  2  * diff * q(u) / (s+eps),  q(u) = u / (e^u - 1), u = s/(2 tau)
 
-    Exactly coincident points have no push direction and return zero.
+    Exactly coincident rows have no push direction and return zero.
     """
     if eps < 0:
         raise ConfigurationError("eps must be nonnegative")
-    diff = np.asarray(y_a, dtype=np.float64) - np.asarray(y_c, dtype=np.float64)
-    s = _sq_norm(diff)
-    if s == 0.0:
-        return np.zeros_like(diff)
+    s = np.vecdot(diff, diff)
+    zero = s == 0.0
+    s = np.where(zero, 1.0, s)
     if p.family == "gaussian":
         u = s / (2.0 * p.tau)
         coef = 2.0 * (u / np.expm1(u)) / (s + eps)
     else:
         coef = 2.0 * p.b * (1.0 / (s + eps) - p.a * s ** (p.b - 1.0) / (1.0 + p.a * s**p.b))
-    return coef * diff
+    return np.where(zero[:, None], 0.0, coef[:, None] * diff)
+
+
+def _diff_row(y_a, y_b) -> np.ndarray:
+    return (np.asarray(y_a, dtype=np.float64) - np.asarray(y_b, dtype=np.float64))[None, :]
+
+
+def grad_log_phi(y_a: np.ndarray, y_b: np.ndarray, p: KernelParams) -> np.ndarray:
+    """Gradient of log phi(||y_a - y_b||^2) with respect to y_a (attraction);
+    the one-row case of ``grad_log_phi_rows``."""
+    return grad_log_phi_rows(_diff_row(y_a, y_b), p)[0]
+
+
+def grad_log_one_minus_phi(
+    y_a: np.ndarray, y_c: np.ndarray, p: KernelParams, eps: float = 1e-3
+) -> np.ndarray:
+    """Gradient of the softened repulsion term with respect to y_a; the one-row
+    case of ``grad_log_one_minus_phi_rows``."""
+    return grad_log_one_minus_phi_rows(_diff_row(y_a, y_c), p, eps)[0]
 
 
 @dataclass(frozen=True)

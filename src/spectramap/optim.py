@@ -5,19 +5,30 @@ weight (via a Walker/Vose alias table over undirected edges, orientation
 chosen by a fair coin) and n_neg uniform negative vertices. Only the anchor
 endpoint moves by default; ``move_other`` mirrors the attractive update onto
 the partner. The learning rate decays linearly: alpha_e = lr * (1 - e / E).
+
+The events of an epoch are defined by a sequential sweep: sample s reads rows
+{a, b, c_1..c_m} of Y as its predecessors left them and writes row a (and row
+b under ``move_other``). ``optimize`` runs them in waves of samples that do
+not conflict (``wave_schedule``): a sample's wave is strictly later than the
+wave of the last earlier writer of any row it reads (read-after-write) and
+no earlier than the wave of the last earlier reader of any row it writes
+(write-after-read). Every sample of a wave reads the rows as they stood when
+the wave began and the wave's writes land when it ends, so the result is
+bit-identical to running the samples one at a time.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import time
+from dataclasses import asdict, dataclass, field
 from typing import Literal
 
 import numpy as np
 
 from .errors import ConfigurationError, OptimizationError
 from .fuzzy import SimilarityGraph
-from .kernels import KernelParams, grad_log_one_minus_phi, grad_log_phi
+from .kernels import KernelParams, grad_log_one_minus_phi_rows, grad_log_phi_rows
 from .losses import LossReport, cross_entropy_loss
 from .spectra import SpectralSolution, spectral_init
 
@@ -25,6 +36,8 @@ from .spectra import SpectralSolution, spectral_init
 TRACE_MAX_N = 5000
 # spectral starting coordinates are rescaled to this max-abs
 SPECTRAL_MAX_ABS = 10.0
+# samples per chunk that wave_schedule converts to Python lists at once
+SCHEDULE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -147,18 +160,38 @@ def spectral_embedding(sol: SpectralSolution) -> Embedding:
 
 
 @dataclass(frozen=True)
+class EpochStats:
+    """What one epoch did: the waves its samples ran in, the negative draws
+    that hit their own anchor (skipped), and the fraction of gradient
+    coordinates that ``clip`` cut."""
+
+    waves: int
+    self_collisions: int
+    clip_frac: float
+
+
+@dataclass(frozen=True)
 class EpochRecord:
     """Trace entry for the state entering epoch ``epoch`` (the final entry,
-    epoch == n_epochs, is the state after the last epoch; its alpha is 0)."""
+    epoch == n_epochs, is the state after the last epoch; its alpha is 0).
+
+    ``stats`` and ``wall_s`` describe the epoch that produced this state;
+    epoch 0 has neither. ``to_json`` leaves ``wall_s`` out so that a trace
+    repeats byte for byte under a fixed seed.
+    """
 
     epoch: int
     alpha: float
     loss: LossReport | None
+    stats: EpochStats | None = None
+    wall_s: float | None = None
 
     def to_json(self) -> str:
         body = {"epoch": self.epoch, "alpha": self.alpha}
         if self.loss is not None:
             body.update(self.loss.to_json_dict())
+        if self.stats is not None:
+            body.update(asdict(self.stats))
         return json.dumps(body)
 
 
@@ -174,8 +207,76 @@ class OptimizeResult:
                 fh.write(rec.to_json() + "\n")
 
 
-def _clip(vec: np.ndarray, limit: float) -> np.ndarray:
-    return np.clip(vec, -limit, limit)
+def wave_schedule(
+    anchors: np.ndarray, partners: np.ndarray, negs: np.ndarray, move_other: bool, n: int
+) -> np.ndarray:
+    """Wave index of each sample under the read-after-write and
+    write-after-read rules of the module docstring.
+
+    Writes are a subset of reads, so two writers of one row never share a
+    wave and a wave's writes go to distinct rows.
+    """
+    written = [-1] * n  # wave of the last writer of each row
+    read = [0] * n  # latest wave that read each row
+    last_write = written.__getitem__
+    waves = []
+    table = np.column_stack([anchors, partners, negs])
+    # rows become Python lists a chunk at a time, to keep that copy small
+    for start in range(0, len(table), SCHEDULE_CHUNK):
+        for rows in table[start : start + SCHEDULE_CHUNK].tolist():
+            a = rows[0]
+            w = max(map(last_write, rows)) + 1
+            if read[a] > w:
+                w = read[a]
+            if move_other:
+                b = rows[1]
+                if read[b] > w:
+                    w = read[b]
+                written[b] = w
+            written[a] = w
+            for r in rows:
+                if read[r] < w:
+                    read[r] = w
+            waves.append(w)
+    return np.array(waves, dtype=np.intp)
+
+
+def _run_wave(
+    Y: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    negs: np.ndarray,
+    live: np.ndarray,
+    alpha: float,
+    p: KernelParams,
+    cfg: OptimizerConfig,
+) -> int:
+    """Apply one wave of samples to Y in place, each exactly as the sequential
+    sweep would; returns the number of gradient coordinates ``clip`` cut.
+
+    ``live`` masks the negatives that are not the sample's own anchor.
+    """
+    ya, yb, yc = Y[a], Y[b], Y[negs]
+    g = grad_log_phi_rows(ya - yb, p)
+    cut = int(np.count_nonzero(np.abs(g) > cfg.clip))
+    g = np.clip(g, -cfg.clip, cfg.clip)
+    ya += alpha * g
+    if cfg.move_other:
+        yb -= alpha * g
+    for j in range(negs.shape[1]):
+        yc_j = yc[:, j]
+        if cfg.move_other:
+            # a negative that is the sample's own partner sees its update
+            yc_j = np.where((negs[:, j] == b)[:, None], yb, yc_j)
+        g = grad_log_one_minus_phi_rows(ya - yc_j, p, cfg.eps)
+        live_j = live[:, j, None]
+        cut += int(np.count_nonzero((np.abs(g) > cfg.clip) & live_j))
+        g = np.clip(g, -cfg.clip, cfg.clip)
+        ya = np.where(live_j, ya + alpha * g, ya)
+    Y[a] = ya
+    if cfg.move_other:
+        Y[b] = yb
+    return cut
 
 
 def optimize(
@@ -188,12 +289,14 @@ def optimize(
     """Run negative-sampling SGD and return the trajectory end plus a loss trace.
 
     Deterministic for a fixed config: a single PCG64 stream drives edge
-    choice, orientation, and negatives, drawn in one block per epoch.
+    choice, orientation, and negatives, drawn in one block per epoch. The
+    epoch's samples then run in waves (see the module docstring); each trace
+    entry after the first carries that epoch's ``EpochStats`` and wall time.
     """
     if Y0.n != V.n:
         raise ConfigurationError("embedding and graph disagree on vertex count")
     Y = Y0.coords.copy()
-    n = V.n
+    n, d = Y.shape
     rng = np.random.default_rng(cfg.seed)
     sampler = EdgeSampler(V)
     n_samples = (
@@ -204,32 +307,38 @@ def optimize(
     if track_loss is None:
         track_loss = n <= TRACE_MAX_N
 
-    def record(epoch: int) -> EpochRecord:
+    def record(epoch: int, stats: EpochStats | None = None,
+               wall_s: float | None = None) -> EpochRecord:
         alpha = cfg.initial_lr * (1.0 - epoch / cfg.n_epochs)
         loss = cross_entropy_loss(V, Y, p) if track_loss else None
-        return EpochRecord(epoch=epoch, alpha=alpha, loss=loss)
+        return EpochRecord(epoch=epoch, alpha=alpha, loss=loss, stats=stats, wall_s=wall_s)
 
     trace = [record(0)]
     collisions = 0
     for epoch in range(cfg.n_epochs):
+        started = time.perf_counter()
         alpha = cfg.initial_lr * (1.0 - epoch / cfg.n_epochs)
         pairs = sampler.sample_ordered_pairs(rng, n_samples)
         negs = sample_negatives(n, n_samples * cfg.n_neg, rng).reshape(
             n_samples, cfg.n_neg
-        ) if cfg.n_neg else np.empty((n_samples, 0), dtype=np.int64)
+        )
+        anchors, partners = pairs[:, 0], pairs[:, 1]
+        live = negs != anchors[:, None]
+        n_live = int(np.count_nonzero(live))
 
-        for s in range(n_samples):
-            a, b = pairs[s]
-            grad = _clip(grad_log_phi(Y[a], Y[b], p), cfg.clip)
-            Y[a] += alpha * grad
-            if cfg.move_other:
-                Y[b] -= alpha * grad
-            for c in negs[s]:
-                if c == a:
-                    collisions += 1
-                    continue
-                g = _clip(grad_log_one_minus_phi(Y[a], Y[c], p, cfg.eps), cfg.clip)
-                Y[a] += alpha * g
+        wave = wave_schedule(anchors, partners, negs, cfg.move_other, n)
+        order = np.argsort(wave, kind="stable")
+        anchors, partners, negs, live = (
+            anchors[order], partners[order], negs[order], live[order]
+        )
+        ends = np.cumsum(np.bincount(wave)).tolist()
+        cut = 0
+        lo = 0
+        for hi in ends:
+            cut += _run_wave(
+                Y, anchors[lo:hi], partners[lo:hi], negs[lo:hi], live[lo:hi], alpha, p, cfg
+            )
+            lo = hi
 
         if not np.all(np.isfinite(Y)):
             bad = np.argwhere(~np.isfinite(Y))[0]
@@ -237,7 +346,14 @@ def optimize(
                 f"non-finite coordinate at epoch {epoch}, point {bad[0]}, "
                 f"axis {bad[1]}"
             )
-        trace.append(record(epoch + 1))
+        wall_s = time.perf_counter() - started
+        stats = EpochStats(
+            waves=len(ends),
+            self_collisions=live.size - n_live,
+            clip_frac=cut / ((n_samples + n_live) * d) if n_samples else 0.0,
+        )
+        collisions += stats.self_collisions
+        trace.append(record(epoch + 1, stats, wall_s))
 
     return OptimizeResult(
         embedding=Embedding(Y, Y0.provenance),

@@ -29,7 +29,6 @@ use dense decompositions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -105,10 +104,6 @@ class SpectralSolution:
     values: np.ndarray
     n_null: int
     residual: float
-
-    def save_csv(self, path) -> None:
-        lines = [",".join(repr(float(v)) for v in row) for row in self.vectors]
-        Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:

@@ -107,6 +107,31 @@ class TestEmbed:
         emb = sm.load_csv(out / "embedding.csv", has_labels=True)
         assert np.array_equal(emb.labels, ds.labels)
 
+    def test_epoch_stats_and_timing(self, tmp_path):
+        code, out = self._embed(tmp_path)
+        assert code == 0
+        records = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+        assert len(records) == 21
+        for rec in records[1:]:
+            assert rec["waves"] >= 1
+            assert 0.0 <= rec["clip_frac"] <= 1.0
+        report = json.loads((out / "run.json").read_text())
+        assert sum(rec["self_collisions"] for rec in records[1:]) == report["self_collisions"]
+        timing = json.loads((out / "timing.json").read_text())
+        assert len(timing["epoch_wall_s"]) == 20
+        assert all(t > 0.0 for t in timing["epoch_wall_s"])
+
+    @pytest.mark.parametrize("flags, module", [
+        (("--min-dist", 5), "kernel"),
+        (("--kernel", "gaussian", "--tau", -1), "kernel"),
+        (("--epochs", 0), "optimizer"),
+        (("--lr", 0), "optimizer"),
+    ])
+    def test_bad_setting_is_a_named_error(self, tmp_path, capsys, flags, module):
+        code, _ = self._embed(tmp_path, *flags)
+        assert code == 2
+        assert f"error [{module}]" in capsys.readouterr().err
+
     def test_bad_k_reports_module(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = run_cli(
@@ -166,6 +191,10 @@ class TestFitAb:
         assert run_cli("fit-ab", "--min-dist", "0.1") == 0
         out = capsys.readouterr().out
         assert "a=1.57" in out and "b=0.89" in out and "rmse=" in out
+
+    def test_out_of_range_is_a_named_error(self, capsys):
+        assert run_cli("fit-ab", "--min-dist", "5") == 2
+        assert "error [kernel]" in capsys.readouterr().err
 
     def test_zero_min_dist(self, capsys):
         assert run_cli("fit-ab", "--min-dist", "0.0") == 0

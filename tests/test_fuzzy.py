@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import spectramap as sm
 from spectramap.errors import ConfigurationError, GraphStructureError, ParseError
@@ -235,6 +236,53 @@ class TestEdgeListErrors:
     def test_self_loop_or_bad_weight(self, tmp_path, line):
         with pytest.raises(GraphStructureError, match="line 2"):
             self._load(tmp_path, f"3\n{line}\n")
+
+
+class TestNonFiniteWeights:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected(self, bad):
+        dense = [[0.0, bad, 0.5], [bad, 0.0, 0.5], [0.5, 0.5, 0.0]]
+        with pytest.raises(GraphStructureError, match="finite"):
+            sm.SimilarityGraph.from_dense(dense)
+
+
+@st.composite
+def point_clouds(draw):
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(k + 1, 30))
+    dim = draw(st.integers(1, 4))
+    points = draw(hnp.arrays(np.float64, (n, dim), elements=st.floats(-10.0, 10.0)))
+    return points, k
+
+
+class TestPipelineInvariants:
+    @settings(max_examples=60, deadline=None)
+    @given(point_clouds())
+    def test_graph_invariants(self, cloud):
+        points, k = cloud
+        W = sm.build_similarity_graph(sm.DataMatrix(points), k).matrix
+        assert np.array_equal(W.toarray(), W.toarray().T)
+        assert np.all((W.data > 0.0) & (W.data <= 1.0))
+        assert not W.diagonal().any()
+        assert np.all(np.diff(W.indptr) > 0)  # no isolated vertex
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(4, 30),
+        dim=st.integers(1, 4),
+        k=st.integers(2, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_permutation_equivariant_on_tie_free_input(self, n, dim, k, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-5.0, 5.0, size=(n, dim))
+        sq = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+        upper = sq[np.triu_indices(n, 1)]
+        assume(np.unique(upper).size == upper.size)
+        perm = rng.permutation(n)
+        W = sm.build_similarity_graph(sm.DataMatrix(points), k).matrix.toarray()
+        W_perm = sm.build_similarity_graph(sm.DataMatrix(points[perm]), k).matrix.toarray()
+        assert np.array_equal(W_perm, W[np.ix_(perm, perm)])
 
 
 class TestPipeline:

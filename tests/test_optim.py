@@ -1,10 +1,15 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import spectramap as sm
 from spectramap.errors import ConfigurationError, OptimizationError
-from spectramap.optim import EdgeSampler, _build_alias_table
+from spectramap.optim import EdgeSampler, _build_alias_table, wave_schedule
+
+from conftest import random_similarity_graph
 
 
 class TestAliasTable:
@@ -203,3 +208,130 @@ class TestExpectationLink:
         se = scale * losses.std(ddof=1) / np.sqrt(n_samples)
         expected = sm.expected_sgd_loss(V, Y, p, n_neg)
         assert abs(mc - expected) <= 3.0 * se
+
+
+def sequential_reference(V, Y0, p, cfg):
+    """One sample at a time, each step through the one-row public gradients:
+    the definition the wave schedule must reproduce bit for bit. Returns the
+    final coordinates, the self-collision count and the clip fraction of each
+    epoch."""
+    Y = Y0.coords.copy()
+    n, d = Y.shape
+    rng = np.random.default_rng(cfg.seed)
+    sampler = EdgeSampler(V)
+    n_samples = (
+        cfg.samples_per_epoch
+        if cfg.samples_per_epoch is not None
+        else sampler.weights.size
+    )
+    collisions = 0
+    clip_fracs = []
+    for epoch in range(cfg.n_epochs):
+        alpha = cfg.initial_lr * (1.0 - epoch / cfg.n_epochs)
+        pairs = sampler.sample_ordered_pairs(rng, n_samples)
+        negs = sm.sample_negatives(n, n_samples * cfg.n_neg, rng).reshape(
+            n_samples, cfg.n_neg
+        ) if cfg.n_neg else np.empty((n_samples, 0), dtype=np.int64)
+        cut = coords = 0
+        for s in range(n_samples):
+            a, b = pairs[s]
+            grad = sm.grad_log_phi(Y[a], Y[b], p)
+            cut += int(np.sum(np.abs(grad) > cfg.clip))
+            coords += d
+            grad = np.clip(grad, -cfg.clip, cfg.clip)
+            Y[a] += alpha * grad
+            if cfg.move_other:
+                Y[b] -= alpha * grad
+            for c in negs[s]:
+                if c == a:
+                    collisions += 1
+                    continue
+                g = sm.grad_log_one_minus_phi(Y[a], Y[c], p, cfg.eps)
+                cut += int(np.sum(np.abs(g) > cfg.clip))
+                coords += d
+                Y[a] += alpha * np.clip(g, -cfg.clip, cfg.clip)
+        clip_fracs.append(cut / coords if coords else 0.0)
+    return Y, collisions, clip_fracs
+
+
+kernels = st.one_of(
+    st.builds(
+        sm.KernelParams.cauchy,
+        a=st.floats(0.5, 2.5),
+        b=st.sampled_from([0.79, 1.0, 1.3]),
+    ),
+    st.builds(sm.KernelParams.gaussian, tau=st.floats(0.3, 2.0)),
+)
+
+
+class TestWaveSchedule:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        d=st.integers(1, 3),
+        p=kernels,
+        move_other=st.booleans(),
+        n_neg=st.integers(0, 5),
+        samples=st.one_of(st.none(), st.integers(0, 120)),
+        n_epochs=st.integers(1, 2),
+        clip=st.sampled_from([0.3, 4.0]),
+        grid=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_sequential_sweep(
+        self, n, d, p, move_other, n_neg, samples, n_epochs, clip, grid, seed
+    ):
+        rng = np.random.default_rng(seed)
+        V = random_similarity_graph(n, rng, density=0.5)
+        # integer grid coordinates make coincident points (s == 0) common
+        coords = (
+            rng.integers(-2, 3, size=(n, d)).astype(float)
+            if grid
+            else rng.uniform(-3.0, 3.0, size=(n, d))
+        )
+        Y0 = sm.Embedding(coords, "external")
+        cfg = sm.OptimizerConfig(
+            n_epochs=n_epochs, n_neg=n_neg, initial_lr=0.7, clip=clip, seed=seed,
+            move_other=move_other, samples_per_epoch=samples,
+        )
+        with np.errstate(over="ignore"):
+            res = sm.optimize(V, Y0, p, cfg, track_loss=False)
+            Y, collisions, clip_fracs = sequential_reference(V, Y0, p, cfg)
+        assert np.array_equal(res.embedding.coords, Y)
+        assert res.self_collisions == collisions
+        assert [rec.stats.clip_frac for rec in res.trace[1:]] == clip_fracs
+        assert sum(rec.stats.self_collisions for rec in res.trace[1:]) == collisions
+
+    def test_epoch_stats_on_two_blobs(self, two_blob_graph, tmp_path):
+        Y0 = sm.init_embedding(two_blob_graph, 2, "spectral", 4)
+        cfg = small_config(n_epochs=2, n_neg=5)
+        res = sm.optimize(two_blob_graph, Y0, sm.KernelParams.cauchy(), cfg,
+                          track_loss=False)
+        n_samples = EdgeSampler(two_blob_graph).weights.size
+        assert res.trace[0].stats is None and res.trace[0].wall_s is None
+        for rec in res.trace[1:]:
+            assert 1 <= rec.stats.waves <= n_samples // 5
+            assert 0.0 <= rec.stats.clip_frac <= 1.0
+            assert rec.wall_s > 0.0
+        assert sum(r.stats.self_collisions for r in res.trace[1:]) == res.self_collisions
+        path = tmp_path / "trace.jsonl"
+        res.write_trace_jsonl(path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert "waves" not in records[0]
+        assert {"waves", "self_collisions", "clip_frac"} <= set(records[1])
+        assert "wall_s" not in records[1]
+
+    def test_waves_respect_both_orderings(self):
+        # sample 1 reads row 0 that sample 0 writes: a later wave (read after
+        # write); sample 2 writes row 3 that sample 1 read as a negative: not
+        # an earlier wave (write after read); sample 3 touches nothing earlier
+        anchors = np.array([0, 1, 3, 5])
+        partners = np.array([2, 0, 4, 6])
+        negs = np.array([[7], [3], [7], [8]])
+        assert wave_schedule(anchors, partners, negs, False, 9).tolist() == [0, 1, 1, 0]
+        # sample 2's partner row 3 was read as a negative in wave 1: only
+        # under move_other does sample 2 write it and so wait for wave 1
+        anchors, partners = np.array([0, 2, 4]), np.array([1, 6, 3])
+        negs = np.array([[5, 5], [0, 3], [5, 5]])
+        assert wave_schedule(anchors, partners, negs, True, 7).tolist() == [0, 1, 1]
+        assert wave_schedule(anchors, partners, negs, False, 7).tolist() == [0, 1, 0]

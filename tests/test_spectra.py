@@ -155,13 +155,6 @@ class TestSpectralInit:
             Q = random_orthonormal_frame(3, 1, rng, complement=null)
             assert float(np.sum(Q * (Ln @ Q))) >= tr_sp - 1e-9
 
-    def test_csv_export(self, p3_graph, tmp_path):
-        sol = sm.spectral_init(p3_graph, 2)
-        out = tmp_path / "vectors.csv"
-        sol.save_csv(out)
-        loaded = np.loadtxt(out, delimiter=",")
-        np.testing.assert_allclose(loaded, sol.vectors, atol=0)
-
 
 def _two_copies(V):
     return sm.SimilarityGraph(sp.block_diag([V.matrix, V.matrix]).tocsr())
