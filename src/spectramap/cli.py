@@ -1,8 +1,8 @@
 """Command-line front end: data generation, embedding, verification, kernel fit.
 
-Flag values override an optional key=value config file (--config); every
-effective value is echoed into the run's JSON report so results reproduce
-from the report alone.
+Flag values override an optional key=value config file (--config) whose keys
+are the subcommand's flag names; every effective value is echoed into the
+run's JSON report so results reproduce from the report alone.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import equivalence
 from .datasets import LabeledDataset, gen_blobs, gen_two_moons, load_csv, save_csv
-from .errors import ConfigurationError, KernelFitError
+from .errors import ConfigurationError, KernelFitError, ParseError
 from .fuzzy import build_similarity_graph
 from .kernels import KernelParams, fit_ab
 from .optim import OptimizerConfig, init_embedding, optimize, spectral_embedding
@@ -40,8 +40,16 @@ def _add_data_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data-dim", type=int, default=2, help="ambient dimension (blobs)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _ConfigParser(argparse.ArgumentParser):
+    """Parser for a command line with --config values folded in: since the
+    command line alone already parsed, any error comes from the file."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
+def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser = parser_class(
         prog="spectramap",
         description="Fuzzy k-NN graph embedding and its spectral test bench",
     )
@@ -78,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--claims", help="comma-separated claim ids to run")
     v.add_argument("--draws", type=int, default=200_000)
     v.add_argument("--out-dir", required=True)
-    v.add_argument("--sabotage", choices=equivalence.SABOTAGE_MODES,
-                   help=argparse.SUPPRESS)
 
     f = sub.add_parser("fit-ab", help="fit kernel (a, b) from min-dist")
     _add_common(f)
@@ -88,38 +94,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Fold `key=value` lines of --config into defaults; flags still win."""
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config")
-    known, _ = probe.parse_known_args(argv)
-    if not known.config:
-        return argv
-    overrides = {}
-    for line in Path(known.config).read_text().splitlines():
+def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
+    """Parse argv again with the `key=value` lines of --config placed before
+    the command line's own flags, so the flags still win."""
+    try:
+        text = Path(args.config).read_text()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {args.config}: {exc.strerror}") from exc
+    tokens = []
+    for line_no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ConfigurationError(f"config line is not key=value: {line!r}")
-        key, value = line.split("=", 1)
-        overrides[key.strip().replace("-", "_")] = value.strip()
-    for sub_action in parser._subparsers._group_actions:
-        for sp in sub_action.choices.values():
-            defaults = {}
-            for action in sp._actions:
-                if action.dest in overrides:
-                    raw = overrides[action.dest]
-                    if action.type is not None:
-                        defaults[action.dest] = action.type(raw)
-                    elif isinstance(action.const, bool) or isinstance(
-                        action.default, bool
-                    ):
-                        defaults[action.dest] = raw.lower() in ("1", "true", "yes")
-                    else:
-                        defaults[action.dest] = raw
-            sp.set_defaults(**defaults)
-    return argv
+        key, sep, value = line.partition("=")
+        dest = key.strip().replace("-", "_")
+        where = f"{args.config} line {line_no}"
+        if not sep:
+            raise ConfigurationError(f"{where}: not key=value: {line!r}")
+        if dest in ("command", "config") or not hasattr(args, dest):
+            raise ConfigurationError(f"{where}: {args.command} has no setting {key.strip()!r}")
+        flag, value = "--" + dest.replace("_", "-"), value.strip()
+        if not isinstance(getattr(args, dest), bool):
+            tokens.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes"):
+            tokens.append(flag)
+        elif value.lower() not in ("0", "false", "no"):
+            raise ConfigurationError(f"{where}: {key.strip()} takes true or false, got {value!r}")
+    return build_parser(_ConfigParser).parse_args(argv[:1] + tokens + argv[1:])
 
 
 def _make_dataset(args) -> LabeledDataset:
@@ -142,7 +143,11 @@ def _effective_config(args) -> dict:
 
 
 def cmd_gen_data(args) -> int:
-    ds = _make_dataset(args)
+    try:
+        ds = _make_dataset(args)
+    except (ConfigurationError, ParseError, OSError) as exc:
+        print(f"error [datasets]: {exc}", file=sys.stderr)
+        return 2
     save_csv(ds, args.out, with_labels=True)
     print(f"wrote {ds.data.n} points x {ds.data.dim} dims to {args.out}")
     return 0
@@ -253,7 +258,6 @@ def cmd_verify(args) -> int:
             master_seed=args.seed,
             claims=claims,
             n_draws=args.draws,
-            sabotage=args.sabotage,
         )
     except ConfigurationError as exc:
         print(f"error [verify]: {exc}", file=sys.stderr)
@@ -289,10 +293,14 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    argv = _apply_config_file(parser, argv)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if args.config:
+        try:
+            args = _apply_config_file(args, argv)
+        except ConfigurationError as exc:
+            print(f"error [config]: {exc}", file=sys.stderr)
+            return 2
     return COMMANDS[args.command](args)
 
 

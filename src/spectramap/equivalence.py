@@ -25,13 +25,13 @@ import scipy.sparse as sp
 from .datasets import gen_blobs
 from .errors import ConfigurationError, GraphStructureError
 from .fuzzy import SimilarityGraph, build_similarity_graph
-from .kernels import KernelParams, fit_ab, log_phi, one_minus_phi
+from .kernels import KernelParams, fit_ab, log_phi
+from .knn import block_sq_dists
 from .losses import (
-    LOG_CLAMP,
     attractive_term,
     expected_sgd_loss,
     laplacian_comparison,
-    pairwise_sq_dists,
+    repel_logs,
     taylor_error_bound,
 )
 from .optim import SPECTRAL_MAX_ABS, EdgeSampler, sample_negatives
@@ -39,6 +39,7 @@ from .spectra import (
     NULL_SPACE_TOL,
     build_laplacians,
     count_components,
+    edge_sq_lengths,
     laplacian_quadratic,
     ncut_relaxation_check,
     random_orthonormal_frame,
@@ -145,9 +146,7 @@ def random_connected_graph(
     return SimilarityGraph(sp.csr_matrix(dense))
 
 
-def check_gaussian_exactness(
-    n: int, d: int, tau: float, seed, _sign: float = 1.0
-) -> EquivalenceReport:
+def check_gaussian_exactness(n: int, d: int, tau: float, seed) -> EquivalenceReport:
     """Relative gap between the Gaussian attraction and (1/tau) tr(Y^T L Y).
 
     Y is uniform in [-0.5, 0.5]^d, and the same Y is evaluated again rescaled
@@ -164,7 +163,7 @@ def check_gaussian_exactness(
     scales, residuals = [], []
     for Ys in (Y, Y * (SPECTRAL_MAX_ABS / np.abs(Y).max())):
         att = attractive_term(V, Ys, p)
-        lap = _sign * (1.0 / tau) * laplacian_quadratic(V, Ys)
+        lap = (1.0 / tau) * laplacian_quadratic(V, Ys)
         residuals.append(abs(att - lap) / abs(att) if att != 0 else abs(att - lap))
         scales.append(float(np.abs(Ys).max()))
     return EquivalenceReport(
@@ -183,10 +182,7 @@ def _scaled_instance(n, d, scale, seed):
     V = pipeline_graph(n, seed)
     rng = np.random.default_rng(seed)
     Y = rng.standard_normal((V.n, d))
-    coo = V.matrix.tocoo()
-    diff = Y[coo.row] - Y[coo.col]
-    max_sq = np.einsum("ij,ij->i", diff, diff).max()
-    Y *= np.sqrt(scale / max_sq)
+    Y *= np.sqrt(scale / edge_sq_lengths(V, Y)[1].max())
     return V, Y
 
 
@@ -302,15 +298,17 @@ def mc_step_losses(
 
     Each draw is accumulated in the order of ``stochastic_step_loss``: the
     positive term first, then each negative subtracted in draw order, so the
-    two routes agree bit for bit on the same sample stream.
+    two routes agree bit for bit on the same sample stream. The distances
+    are one all-rows ``block_sq_dists`` block.
     """
     sampler = EdgeSampler(V)
     pairs = sampler.sample_ordered_pairs(rng, n_draws)
     anchors, partners = pairs[:, 0], pairs[:, 1]
-    S = pairwise_sq_dists(Y)
+    cols = [np.ascontiguousarray(c) for c in np.asarray(Y, dtype=np.float64).T]
+    S = block_sq_dists(cols, 0, V.n)
     losses = -log_phi(S[anchors, partners], p)
     if n_neg:
-        log_q = np.log(np.maximum(one_minus_phi(S, p), LOG_CLAMP))
+        log_q = repel_logs(S, p)
         negs = sample_negatives(V.n, n_draws * n_neg, rng).reshape(n_draws, n_neg)
         for c in negs.T:
             # self-draws are skipped
@@ -452,8 +450,6 @@ class SuiteResult:
         return json.dumps(body, indent=2)
 
 
-SABOTAGE_MODES = ("laplacian-sign",)
-
 DEFAULT_N = 30
 DEFAULT_D = 2
 CAUCHY_SCALES = (0.1, 0.01, 0.001)
@@ -463,21 +459,13 @@ def run_suite(
     master_seed: int = 42,
     claims: list[str] | None = None,
     n_draws: int = 200_000,
-    sabotage: str | None = None,
 ) -> SuiteResult:
-    """Evaluate every claim (or a filtered subset) on shared default instances.
-
-    ``sabotage`` deliberately corrupts one computation (test hook) to confirm
-    the harness catches a broken implementation.
-    """
-    if sabotage is not None and sabotage not in SABOTAGE_MODES:
-        raise ConfigurationError(f"unknown sabotage mode {sabotage!r}")
+    """Evaluate every claim (or a filtered subset) on shared default instances."""
     if claims is not None:
         unknown = set(claims) - set(CLAIM_IDS)
         if unknown:
             raise ConfigurationError(f"unknown claim ids: {sorted(unknown)}")
     wanted = set(claims) if claims is not None else set(CLAIM_IDS)
-    sign = -1.0 if sabotage == "laplacian-sign" else 1.0
 
     reports: list[EquivalenceReport] = []
     kernelized = None
@@ -486,9 +474,7 @@ def run_suite(
         rng = claim_rng(master_seed, "thm3.1a")
         for tau in (0.5, 1.0, 2.0):
             reports.append(
-                check_gaussian_exactness(
-                    DEFAULT_N, DEFAULT_D, tau, rng.integers(2**31), _sign=sign
-                )
+                check_gaussian_exactness(DEFAULT_N, DEFAULT_D, tau, rng.integers(2**31))
             )
 
     if "thm3.1b" in wanted:

@@ -284,10 +284,8 @@ def symmetrize(directed: DirectedWeights) -> SimilarityGraph:
     return SimilarityGraph(matrix=mat)
 
 
-def build_similarity_graph(
-    X: DataMatrix, k: int, metric: str = "euclidean"
-) -> SimilarityGraph:
+def build_similarity_graph(X: DataMatrix, k: int) -> SimilarityGraph:
     """Full pipeline: k-NN search, (rho, sigma) calibration, fuzzy union."""
-    knn = knn_search(X, k, metric)
+    knn = knn_search(X, k)
     params = smooth_knn_params(knn)
     return symmetrize(directed_weights(knn, params))

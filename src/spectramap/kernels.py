@@ -67,14 +67,23 @@ def phi(sq_dist, p: KernelParams):
     return out if out.ndim else float(out)
 
 
-def one_minus_phi(sq_dist, p: KernelParams):
-    """1 - phi computed without cancellation for small distances."""
+def one_minus_phi(sq_dist, p: KernelParams, out: np.ndarray | None = None):
+    """1 - phi computed without cancellation for small distances.
+
+    ``out`` (which may be ``sq_dist`` itself) receives the result, so a
+    caller that no longer needs the distances holds one array, not three.
+    """
     s = np.asarray(sq_dist, dtype=np.float64)
+    out = np.empty_like(s) if out is None else out
     if p.family == "gaussian":
-        out = -np.expm1(-s / (2.0 * p.tau))
+        np.negative(s, out=out)
+        np.divide(out, 2.0 * p.tau, out=out)
+        np.expm1(out, out=out)
+        np.negative(out, out=out)
     else:
-        t = p.a * s**p.b
-        out = t / (1.0 + t)
+        np.power(s, p.b, out=out)
+        np.multiply(out, p.a, out=out)
+        np.divide(out, out + 1.0, out=out)
     return out if out.ndim else float(out)
 
 

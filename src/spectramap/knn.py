@@ -38,9 +38,20 @@ class KnnGraph:
         return self.indices.shape[0]
 
 
-def _block_sq_dists(cols: list[np.ndarray], start: int, stop: int) -> np.ndarray:
+def row_blocks(n: int):
+    """Consecutive (start, stop) row ranges whose n-column float64 block takes
+    about ``BLOCK_BYTES`` (at least one row each)."""
+    block = max(1, BLOCK_BYTES // (8 * n))
+    for start in range(0, n, block):
+        yield start, min(n, start + block)
+
+
+def block_sq_dists(cols: list[np.ndarray], start: int, stop: int) -> np.ndarray:
     """Squared distances from rows [start, stop) to every point, summed in
-    coordinate order with in-place subtract, square and add."""
+    coordinate order with in-place subtract, square and add.
+
+    ``cols`` holds one contiguous array per coordinate. Entry (i, j) equals
+    entry (j, i) bit for bit, since (y_j - y_i)^2 == (y_i - y_j)^2 exactly."""
     d2 = np.zeros((stop - start, cols[0].size))
     diff = np.empty_like(d2)
     for col in cols:
@@ -66,12 +77,8 @@ def _select_rows(d2: np.ndarray, k: int) -> np.ndarray:
     return picked
 
 
-def knn_search(X: DataMatrix, k: int, metric: str = "euclidean") -> KnnGraph:
+def knn_search(X: DataMatrix, k: int) -> KnnGraph:
     """Exact k nearest neighbors of every point under the Euclidean metric."""
-    if metric != "euclidean":
-        raise ConfigurationError(
-            f"unknown metric {metric!r}; available: ['euclidean']"
-        )
     n = X.n
     if k < 1:
         raise ConfigurationError("k must be >= 1")
@@ -79,12 +86,10 @@ def knn_search(X: DataMatrix, k: int, metric: str = "euclidean") -> KnnGraph:
         raise ConfigurationError(f"k={k} requires at least k+1={k + 1} points, got {n}")
 
     cols = [np.ascontiguousarray(X.points[:, t]) for t in range(X.dim)]
-    block = max(1, BLOCK_BYTES // (8 * n))
     indices = np.empty((n, k), dtype=np.int64)
     distances = np.empty((n, k), dtype=np.float64)
-    for start in range(0, n, block):
-        stop = min(n, start + block)
-        d2 = _block_sq_dists(cols, start, stop)
+    for start, stop in row_blocks(n):
+        d2 = block_sq_dists(cols, start, stop)
         rows = np.arange(stop - start)
         d2[rows, start + rows] = np.inf
         picked = _select_rows(d2, k)

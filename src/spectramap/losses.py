@@ -6,15 +6,24 @@ The cross-entropy objective over all ordered vertex pairs i != j is
     attract = -sum v_ij * log phi(s_ij)
     repel   = -sum (1 - v_ij) * log(1 - phi(s_ij))
 
-with s_ij the squared embedding distance. Every attraction log is the
-closed-form ``log_phi``, finite at any distance for both kernel families, so
-for the Gaussian kernel the attraction equals (1/tau) * tr(Y^T L Y)
-identically at every scale; for the heavy-tailed kernel with b = 1 it equals
+with s_ij the squared embedding distance. Since v_ij is zero off the stored
+edges, the repulsion is evaluated as an all-pairs sum minus an edge give-back,
+
+    repel = sum_i r_i + sum_edges v_ij * log(1 - phi(s_ij)),
+    r_i   = -sum_{j != i} log(1 - phi(s_ij)),
+
+where the row sums r_i run over ``knn.row_blocks`` with the k-NN search's
+coordinate-order ``block_sq_dists``, so no n x n array is ever held, and the
+attraction and give-back run over the stored edges with the lengths of
+``spectra.edge_sq_lengths``. Every attraction log is the closed-form
+``log_phi``, finite at any distance for both kernel families, so for the
+Gaussian kernel the attraction equals (1/tau) * tr(Y^T L Y) identically at
+every scale; for the heavy-tailed kernel with b = 1 it equals
 2a * tr(Y^T L Y) up to a curvature error whose bound ``taylor_error_bound``
 computes. Only the repulsion clamps its log (see ``LOG_CLAMP``).
 ``expected_sgd_loss`` is the per-epoch expectation of the negative-sampling
 estimator: positives weighted by v_ab, negatives uniform over vertices with
-the degree-weighted prefactor n_neg/n.
+the degree-weighted prefactor n_neg/n, which is deg @ r.
 """
 
 from __future__ import annotations
@@ -28,31 +37,38 @@ import numpy as np
 from .errors import ConfigurationError
 from .fuzzy import SimilarityGraph
 from .kernels import KernelParams, log_phi, one_minus_phi
-from .spectra import laplacian_quadratic
+from .knn import block_sq_dists, row_blocks
+from .spectra import edge_sq_lengths, laplacian_quadratic
 
 # Floor under 1 - phi in the repulsion logs, which are -inf at coincident
 # points. The attraction never clamps: it uses the closed-form log_phi.
 LOG_CLAMP = 1e-12
 
 
-def pairwise_sq_dists(Y: np.ndarray) -> np.ndarray:
-    """Dense n x n matrix of squared distances.
+def repel_logs(s: np.ndarray, p: KernelParams) -> np.ndarray:
+    """log(max(1 - phi(s), LOG_CLAMP)), computed in place over the float64 array s."""
+    q = one_minus_phi(s, p, out=s)
+    np.maximum(q, LOG_CLAMP, out=q)
+    return np.log(q, out=q)
 
-    Accumulates one coordinate at a time so every entry is the same
-    elementary sum a scalar evaluation would produce; the result is exactly
-    symmetric and zero on the diagonal.
+
+def repel_row_sums(Y: np.ndarray, p: KernelParams) -> np.ndarray:
+    """r_i = -sum_{j != i} log(max(1 - phi(s_ij), LOG_CLAMP)) for every row i.
+
+    Evaluated one ``row_blocks`` block at a time; each row is summed whole,
+    so the result does not depend on the block size.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     n = Y.shape[0]
-    out = np.zeros((n, n))
-    for t in range(Y.shape[1]):
-        col = Y[:, t]
-        out += (col[:, None] - col[None, :]) ** 2
-    return out
-
-
-def _clamped_log(x: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(x, LOG_CLAMP))
+    cols = [np.ascontiguousarray(c) for c in Y.T]
+    rows = np.empty(n)
+    for start, stop in row_blocks(n):
+        log_q = repel_logs(block_sq_dists(cols, start, stop), p)
+        own = np.arange(stop - start)
+        log_q[own, start + own] = 0.0
+        rows[start:stop] = -log_q.sum(axis=1)
+        del log_q  # free this block before the next one is allocated
+    return rows
 
 
 @dataclass(frozen=True)
@@ -70,7 +86,6 @@ class LossReport:
     repel: float
     laplacian_form: float | None
     taylor_bound: float | None
-    per_edge_terms: dict | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -87,11 +102,8 @@ class LossReport:
 
 def attractive_term(V: SimilarityGraph, Y: np.ndarray, p: KernelParams) -> float:
     """-sum_{i != j} v_ij log phi(s_ij) over stored edges, closed-form logs."""
-    coo = V.matrix.tocoo()
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    diff = Y[coo.row] - Y[coo.col]
-    s = np.einsum("ij,ij->i", diff, diff)
-    return -float(coo.data @ log_phi(s, p))
+    w, s = edge_sq_lengths(V, Y)
+    return -float(w @ log_phi(s, p))
 
 
 class LaplacianComparison(NamedTuple):
@@ -129,29 +141,15 @@ def laplacian_comparison(
 
 def taylor_error_bound(V: SimilarityGraph, Y: np.ndarray, a: float) -> float:
     """(a^2 / 2) * sum_{i != j} v_ij ||y_i - y_j||^4 over ordered pairs."""
-    coo = V.matrix.tocoo()
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    diff = Y[coo.row] - Y[coo.col]
-    s = np.einsum("ij,ij->i", diff, diff)
-    return 0.5 * a * a * float(coo.data @ (s * s))
+    w, s = edge_sq_lengths(V, Y)
+    return 0.5 * a * a * float(w @ (s * s))
 
 
-def cross_entropy_loss(
-    V: SimilarityGraph, Y: np.ndarray, p: KernelParams, per_edge: bool = False
-) -> LossReport:
+def cross_entropy_loss(V: SimilarityGraph, Y: np.ndarray, p: KernelParams) -> LossReport:
     """Full cross-entropy over all ordered pairs, with its decomposition."""
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    n = V.n
-    if Y.shape[0] != n:
-        raise ConfigurationError(f"Y has {Y.shape[0]} rows, graph has {n} vertices")
-
-    S = pairwise_sq_dists(Y)
-    off = ~np.eye(n, dtype=bool)
-    Vd = V.matrix.toarray()
-    log_p = log_phi(S, p)
-    log_q = _clamped_log(one_minus_phi(S, p))
-    attract = -float((Vd * log_p)[off].sum())
-    repel = -float(((1.0 - Vd) * log_q)[off].sum())
+    attract = attractive_term(V, Y, p)
+    w, s = edge_sq_lengths(V, Y)
+    repel = float(repel_row_sums(Y, p).sum()) + float(w @ repel_logs(s, p))
 
     c = _laplacian_constant(p)
     lap = c * laplacian_quadratic(V, Y) if c is not None else None
@@ -160,28 +158,12 @@ def cross_entropy_loss(
         if p.family == "cauchy_ab" and p.b == 1.0
         else None
     )
-
-    edges = None
-    if per_edge:
-        i, j, w = V.edges()
-        sq = S[i, j]
-        edges = {
-            "i": i,
-            "j": j,
-            "weight": w,
-            "sq_dist": sq,
-            # both ordered orientations of each undirected edge
-            "attract": -2.0 * w * log_phi(sq, p),
-            "repel": -2.0 * (1.0 - w) * _clamped_log(one_minus_phi(sq, p)),
-        }
-
     return LossReport(
         total=attract + repel,
         attract=attract,
         repel=repel,
         laplacian_form=lap,
         taylor_bound=bound,
-        per_edge_terms=edges,
     )
 
 
@@ -191,22 +173,15 @@ def expected_sgd_loss(
     """Expected one-epoch aggregate of the negative-sampling estimator.
 
     Attraction sums -v_ab log phi over ordered stored edges; repulsion is
-    (n_neg / n) * sum_a d_a * sum_{c != a} -log(1 - phi(s_ac)), matching
+    (n_neg / n) * sum_a d_a * r_a with r from ``repel_row_sums``, matching
     uniform negative draws over all vertices with self-draws skipped.
     """
     if n_neg < 0:
         raise ConfigurationError("n_neg must be >= 0")
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    n = V.n
     attract = attractive_term(V, Y, p)
     if n_neg == 0:
         return attract
-    S = pairwise_sq_dists(Y)
-    log_q = _clamped_log(one_minus_phi(S, p))
-    np.fill_diagonal(log_q, 0.0)
-    per_anchor = -log_q.sum(axis=1)
-    deg = V.degrees()
-    repel = (n_neg / n) * float(deg @ per_anchor)
+    repel = (n_neg / V.n) * float(V.degrees() @ repel_row_sums(Y, p))
     return attract + repel
 
 
@@ -222,7 +197,7 @@ def stochastic_step_loss(
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
 
     def sq_dist(i, j):
-        # same coordinate-at-a-time accumulation as pairwise_sq_dists
+        # same coordinate-at-a-time accumulation as knn.block_sq_dists
         s = 0.0
         for t in range(Y.shape[1]):
             s += (Y[i, t] - Y[j, t]) ** 2

@@ -76,17 +76,27 @@ def build_laplacians(V: SimilarityGraph) -> LaplacianPair:
     return LaplacianPair(degree=deg, combinatorial=L, normalized=Lnorm)
 
 
-def laplacian_quadratic(V: SimilarityGraph, Z: np.ndarray) -> float:
-    """tr(Z^T L(V) Z) evaluated as the half-sum of w_ij ||Z_i - Z_j||^2 over edges."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-    if Z.shape[0] != V.n:
+def edge_sq_lengths(V: SimilarityGraph, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights w and squared lengths s = ||Y_i - Y_j||^2 of the stored edges.
+
+    Both orientations of each undirected edge appear. Every edge-sum form
+    (attraction, quadratic form, curvature bound) reads its lengths here;
+    rejects a Y whose row count is not the graph's vertex count.
+    """
+    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
+    if Y.shape[0] != V.n:
         raise ConfigurationError(
-            f"Z has {Z.shape[0]} rows but the graph has {V.n} vertices"
+            f"Y has {Y.shape[0]} rows but the graph has {V.n} vertices"
         )
     coo = V.matrix.tocoo()
-    diff = Z[coo.row] - Z[coo.col]
-    sq = np.einsum("ij,ij->i", diff, diff)
-    return 0.5 * float(coo.data @ sq)
+    diff = Y[coo.row] - Y[coo.col]
+    return coo.data, np.einsum("ij,ij->i", diff, diff)
+
+
+def laplacian_quadratic(V: SimilarityGraph, Z: np.ndarray) -> float:
+    """tr(Z^T L(V) Z) evaluated as the half-sum of w_ij ||Z_i - Z_j||^2 over edges."""
+    w, s = edge_sq_lengths(V, Z)
+    return 0.5 * float(w @ s)
 
 
 @dataclass(frozen=True)

@@ -52,3 +52,8 @@ def random_similarity_graph(n, rng, density=0.3):
         w = rng.uniform(0.05, 1.0)
         dense[i, j] = dense[j, i] = w
     return sm.SimilarityGraph.from_dense(dense)
+
+
+def negated_laplacian_quadratic(V, Z):
+    """A broken quadratic form, its sign flipped: the claim suite must fail on it."""
+    return -sm.laplacian_quadratic(V, Z)

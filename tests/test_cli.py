@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 import spectramap as sm
+from spectramap import equivalence
 from spectramap.cli import main
+
+from conftest import negated_laplacian_quadratic
 
 
 def run_cli(*args):
@@ -25,6 +28,13 @@ class TestGenData:
         assert run_cli("gen-data", "--gen", "moons", "--n", 30, "--out", out) == 0
         ds = sm.load_csv(out, has_labels=True)
         assert ds.data.n == 30
+
+    @pytest.mark.parametrize("flags", [("--gen", "blobs", "--std", -1), ()])
+    def test_bad_source_is_a_named_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "data.csv"
+        assert run_cli("gen-data", *flags, "--out", out) == 2
+        assert "error [datasets]" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEmbed:
@@ -158,12 +168,10 @@ class TestVerify:
         report = json.loads((out / "report.json").read_text())
         assert {r["claim"] for r in report["reports"]} == {"lemmaA1"}
 
-    def test_sabotage_exits_nonzero(self, tmp_path, capsys):
+    def test_sabotage_exits_nonzero(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(equivalence, "laplacian_quadratic", negated_laplacian_quadratic)
         out = tmp_path / "verify"
-        code = run_cli(
-            "verify", "--claims", "thm3.1a", "--sabotage", "laplacian-sign",
-            "--out-dir", out,
-        )
+        code = run_cli("verify", "--claims", "thm3.1a", "--out-dir", out)
         assert code == 1
         assert "thm3.1a" in capsys.readouterr().err
 
@@ -226,3 +234,27 @@ class TestConfigFile:
         report = json.loads((out / "run.json").read_text())
         assert report["config"]["epochs"] == 3
         assert report["config"]["k"] == 6
+
+    @pytest.mark.parametrize("text", ["k=abc\n", "epochs 3\n", "bogus_key=1\n",
+                                      "move-other=maybe\n", None])
+    def test_bad_config_is_a_named_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        out = tmp_path / "run"
+        code = run_cli("embed", "--gen", "blobs", "--n", 40, "--config", cfg,
+                       "--out-dir", out)
+        assert code == 2
+        assert "error [config]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_switch_and_flag_precedence(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# comment\n\nmove-other=yes\nn=50\nepochs=2\n")
+        out = tmp_path / "run"
+        code = run_cli("embed", "--gen", "blobs", "--config", cfg, "--n", 40,
+                       "--out-dir", out)
+        assert code == 0
+        config = json.loads((out / "run.json").read_text())["config"]
+        assert config["move_other"] is True
+        assert config["n"] == 40 and config["epochs"] == 2

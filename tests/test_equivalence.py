@@ -7,6 +7,8 @@ import spectramap as sm
 from spectramap import equivalence as eq
 from spectramap.errors import ConfigurationError, GraphStructureError
 
+from conftest import negated_laplacian_quadratic
+
 
 class TestGaussianExactness:
     @pytest.mark.parametrize("tau,seed", [(1.0, 0), (0.5, 1), (2.0, 2)])
@@ -21,8 +23,9 @@ class TestGaussianExactness:
         lap = sm.laplacian_quadratic(V, np.zeros((V.n, 2)))
         assert att == lap == 0.0
 
-    def test_sabotage_breaks_it(self):
-        rep = eq.check_gaussian_exactness(30, 2, 1.0, 0, _sign=-1.0)
+    def test_sabotage_breaks_it(self, monkeypatch):
+        monkeypatch.setattr(eq, "laplacian_quadratic", negated_laplacian_quadratic)
+        rep = eq.check_gaussian_exactness(30, 2, 1.0, 0)
         assert not rep.passed
 
     @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
@@ -188,10 +191,9 @@ class TestSuite:
         with pytest.raises(ConfigurationError):
             eq.run_suite(claims=["lemmaB2"])
 
-    def test_sabotage_fails_gaussian_claim(self):
-        result = eq.run_suite(
-            master_seed=42, claims=["thm3.1a"], sabotage="laplacian-sign"
-        )
+    def test_sabotage_fails_gaussian_claim(self, monkeypatch):
+        monkeypatch.setattr(eq, "laplacian_quadratic", negated_laplacian_quadratic)
+        result = eq.run_suite(master_seed=42, claims=["thm3.1a"])
         assert not result.all_passed
         assert all(r.claim == "thm3.1a" for r in result.reports if not r.passed)
 

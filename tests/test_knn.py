@@ -104,11 +104,6 @@ class TestInvariants:
         with pytest.raises(ConfigurationError):
             sm.knn_search(X, 5)
 
-    def test_unknown_metric_rejected(self):
-        X = sm.DataMatrix(np.zeros((5, 2)))
-        with pytest.raises(ConfigurationError, match="metric"):
-            sm.knn_search(X, 2, metric="cosine")
-
 
 class TestBlockedSearch:
     N = 1600

@@ -1,12 +1,14 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import spectramap as sm
+from spectramap import knn
 from spectramap.equivalence import pipeline_graph
 from spectramap.errors import ConfigurationError
-from spectramap.losses import LOG_CLAMP, pairwise_sq_dists
+from spectramap.losses import LOG_CLAMP
 
 from conftest import random_similarity_graph
 
@@ -26,6 +28,20 @@ def dense_loss_oracle(V, Y, p):
             attract -= W[i, j] * sm.log_phi(s, p)
             repel -= (1.0 - W[i, j]) * np.log(max(sm.one_minus_phi(s, p), LOG_CLAMP))
     return attract, repel
+
+
+def dense_expected_repel(V, Y, p, n_neg):
+    """(n_neg / n) * sum_a d_a * sum_{c != a} -log(max(1 - phi, LOG_CLAMP))
+    by a double loop: the negative-sampling term of expected_sgd_loss."""
+    n = V.n
+    deg = V.degrees()
+    total = 0.0
+    for a in range(n):
+        for c in range(n):
+            if c != a:
+                s = float(((Y[a] - Y[c]) ** 2).sum())
+                total -= deg[a] * np.log(max(sm.one_minus_phi(s, p), LOG_CLAMP))
+    return n_neg / n * total
 
 
 class TestCrossEntropyLoss:
@@ -86,15 +102,41 @@ class TestCrossEntropyLoss:
             repels.append(sm.cross_entropy_loss(V, Y, p).repel)
         assert all(b <= a + 1e-12 for a, b in zip(repels, repels[1:]))
 
-    def test_per_edge_breakdown(self, k2_graph):
-        Y = np.array([[0.0], [1.0]])
-        rep = sm.cross_entropy_loss(
-            k2_graph, Y, sm.KernelParams.cauchy(1.0, 1.0), per_edge=True
-        )
-        terms = rep.per_edge_terms
-        assert terms["i"].tolist() == [0] and terms["j"].tolist() == [1]
-        np.testing.assert_allclose(terms["sq_dist"], [1.0])
-        np.testing.assert_allclose(terms["attract"], [2.0 * np.log(2.0)])
+    def test_seven_row_blocks_match_dense_oracle(self, monkeypatch):
+        # many row blocks, one of them partial: the all-pairs row sums and
+        # the edge give-back must still add up to the pairwise definition
+        rng = np.random.default_rng(29)
+        n, n_neg = 40, 3
+        V = random_similarity_graph(n, rng)
+        Y = rng.standard_normal((n, 3))
+        p = sm.KernelParams.cauchy(1.2, 0.9)
+        one_block = sm.expected_sgd_loss(V, Y, p, n_neg)
+        monkeypatch.setattr(knn, "BLOCK_BYTES", 8 * n * 7)
+        assert len(list(knn.row_blocks(n))) == 6
+        for q in (p, sm.KernelParams.gaussian(0.9)):
+            rep = sm.cross_entropy_loss(V, Y, q)
+            attract, repel = dense_loss_oracle(V, Y, q)
+            assert abs(rep.attract - attract) <= 1e-12 * max(abs(attract), 1.0)
+            assert abs(rep.repel - repel) <= 1e-12 * max(abs(repel), 1.0)
+        blocked = sm.expected_sgd_loss(V, Y, p, n_neg)
+        assert blocked == one_block
+        expected = sm.attractive_term(V, Y, p) + dense_expected_repel(V, Y, p, n_neg)
+        assert abs(blocked - expected) <= 1e-12 * abs(expected)
+
+    def test_peak_memory_below_one_pair_matrix(self):
+        # the loss works in row blocks of about knn.BLOCK_BYTES; it must never
+        # hold an n x n float64 array
+        n = 1600
+        V = pipeline_graph(n, 3)
+        Y = np.random.default_rng(30).standard_normal((V.n, 2))
+        p = sm.KernelParams.cauchy(1.58, 0.9)
+        tracemalloc.start()
+        try:
+            sm.cross_entropy_loss(V, Y, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * V.n * V.n
 
     def test_json_serialization(self, k2_graph):
         Y = np.array([[0.0], [1.0]])
@@ -240,18 +282,37 @@ class TestStochasticStepLoss:
         assert with_self == without
 
 
+def all_pair_sq_dists(Y):
+    """knn.block_sq_dists over one block holding every row."""
+    return knn.block_sq_dists([np.ascontiguousarray(c) for c in Y.T], 0, len(Y))
+
+
 class TestPairwiseSqDists:
     def test_symmetric_zero_diagonal(self):
         rng = np.random.default_rng(27)
         Y = rng.standard_normal((12, 3))
-        S = pairwise_sq_dists(Y)
+        S = all_pair_sq_dists(Y)
         assert np.array_equal(S, S.T)
         assert np.all(np.diag(S) == 0.0)
 
     def test_matches_direct_norms(self):
         rng = np.random.default_rng(28)
         Y = rng.standard_normal((6, 2))
-        S = pairwise_sq_dists(Y)
+        S = all_pair_sq_dists(Y)
         for i in range(6):
             for j in range(6):
                 assert S[i, j] == pytest.approx(((Y[i] - Y[j]) ** 2).sum(), rel=1e-14)
+
+
+class TestRowCountCheck:
+    @pytest.mark.parametrize("loss", [
+        lambda V, Y: sm.attractive_term(V, Y, sm.KernelParams.cauchy()),
+        lambda V, Y: sm.taylor_error_bound(V, Y, 1.0),
+        lambda V, Y: sm.expected_sgd_loss(V, Y, sm.KernelParams.cauchy(), 5),
+        lambda V, Y: sm.cross_entropy_loss(V, Y, sm.KernelParams.gaussian(1.0)),
+    ])
+    def test_too_many_rows_rejected(self, p3_graph, loss):
+        # a 7-row Y would index the first three rows and ignore the rest
+        Y = np.random.default_rng(31).standard_normal((7, 2))
+        with pytest.raises(ConfigurationError, match="7 rows"):
+            loss(p3_graph, Y)
