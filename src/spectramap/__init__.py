@@ -56,7 +56,7 @@ from .losses import (
     cross_entropy_loss,
     expected_sgd_loss,
     laplacian_comparison,
-    stochastic_step_loss,
+    step_losses,
     taylor_error_bound,
 )
 from .optim import (
@@ -70,11 +70,9 @@ from .optim import (
 )
 from .spectra import (
     LaplacianPair,
-    Partition,
     SpectralSolution,
     build_laplacians,
     laplacian_quadratic,
-    ncut,
     ncut_relaxation_check,
     spectral_init,
 )

@@ -25,13 +25,12 @@ import scipy.sparse as sp
 from .datasets import gen_blobs
 from .errors import ConfigurationError, GraphStructureError
 from .fuzzy import SimilarityGraph, build_similarity_graph
-from .kernels import KernelParams, fit_ab, log_phi
-from .knn import block_sq_dists
+from .kernels import KernelParams, fit_ab
 from .losses import (
     attractive_term,
     expected_sgd_loss,
     laplacian_comparison,
-    repel_logs,
+    step_losses,
     taylor_error_bound,
 )
 from .optim import SPECTRAL_MAX_ABS, EdgeSampler, sample_negatives
@@ -294,26 +293,15 @@ def mc_step_losses(
     n_draws: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Vectorized draws of the per-event loss under the real sampling scheme.
+    """Draws of the per-event loss under the real sampling scheme.
 
-    Each draw is accumulated in the order of ``stochastic_step_loss``: the
-    positive term first, then each negative subtracted in draw order, so the
-    two routes agree bit for bit on the same sample stream. The distances
-    are one all-rows ``block_sq_dists`` block.
+    The sampler's stream draws the ordered pairs, then the negatives;
+    ``losses.step_losses`` evaluates every draw at Y, the same routine the
+    optimizer traces each epoch with.
     """
-    sampler = EdgeSampler(V)
-    pairs = sampler.sample_ordered_pairs(rng, n_draws)
-    anchors, partners = pairs[:, 0], pairs[:, 1]
-    cols = [np.ascontiguousarray(c) for c in np.asarray(Y, dtype=np.float64).T]
-    S = block_sq_dists(cols, 0, V.n)
-    losses = -log_phi(S[anchors, partners], p)
-    if n_neg:
-        log_q = repel_logs(S, p)
-        negs = sample_negatives(V.n, n_draws * n_neg, rng).reshape(n_draws, n_neg)
-        for c in negs.T:
-            # self-draws are skipped
-            losses -= np.where(c == anchors, 0.0, log_q[anchors, c])
-    return losses
+    pairs = EdgeSampler(V).sample_ordered_pairs(rng, n_draws)
+    negs = sample_negatives(V.n, n_draws * n_neg, rng).reshape(n_draws, n_neg)
+    return step_losses(Y, pairs[:, 0], pairs[:, 1], negs, p)
 
 
 def check_expected_loss(

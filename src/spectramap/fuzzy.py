@@ -107,13 +107,11 @@ def smooth_knn_params(knn: KnnGraph) -> SmoothKnnParams:
         sig[above] = (BRACKET_LO * mean_gap[solve])[above]
         sigma[solve] = sig
 
-        res = np.abs(_weight_sum(g, sig) - target)
-        sub_flag = below | above | (res > RESIDUAL_TOL)
-        flags = flagged[solve]
-        flags |= sub_flag
-        flagged[solve] = flags
+        flagged[solve] = below | above
 
     residual = np.abs(_weight_sum(gaps, sigma) - target)
+    # rows outside ``solve`` are flagged already
+    flagged |= residual > RESIDUAL_TOL
     return SmoothKnnParams(rho=rho, sigma=sigma, flagged=flagged, residual=residual)
 
 

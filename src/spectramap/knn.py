@@ -95,4 +95,5 @@ def knn_search(X: DataMatrix, k: int) -> KnnGraph:
         picked = _select_rows(d2, k)
         indices[start:stop] = picked
         distances[start:stop] = np.sqrt(d2[rows[:, None], picked])
+        del d2  # free this block before the next one is allocated
     return KnnGraph(indices=indices, distances=distances, k=k)

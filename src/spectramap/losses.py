@@ -24,6 +24,11 @@ computes. Only the repulsion clamps its log (see ``LOG_CLAMP``).
 ``expected_sgd_loss`` is the per-epoch expectation of the negative-sampling
 estimator: positives weighted by v_ab, negatives uniform over vertices with
 the degree-weighted prefactor n_neg/n, which is deg @ r.
+
+``step_losses`` evaluates that estimator one sample at a time: the loss
+negative-sampling SGD actually minimizes. The optimizer traces it every
+epoch and the eq13 claim averages it; the full cross-entropy above is
+evaluated only at the trajectory's endpoints.
 """
 
 from __future__ import annotations
@@ -185,27 +190,38 @@ def expected_sgd_loss(
     return attract + repel
 
 
-def stochastic_step_loss(
-    a: int, b: int, negs, Y: np.ndarray, p: KernelParams
-) -> float:
-    """One negative-sampling event's loss: positive pair (a, b) plus negatives.
+def step_losses(
+    Y: np.ndarray,
+    anchors: np.ndarray,
+    partners: np.ndarray,
+    negs: np.ndarray,
+    p: KernelParams,
+) -> np.ndarray:
+    """Each negative-sampling event's loss at the coordinates Y.
 
-    Negative draws equal to the anchor are skipped (a pair with itself has
-    no repulsion direction). Logs follow the full loss: the attraction is the
-    closed-form ``log_phi``, the repulsion clamps at ``LOG_CLAMP``.
+    Event s has the positive pair (anchors[s], partners[s]) and the negatives
+    in row s of the (events, n_neg) array ``negs``. Its loss is the
+    closed-form -log phi of the pair, then minus each negative's clamped
+    ``repel_logs`` in draw order; a negative equal to its own anchor is
+    skipped (a pair with itself has no repulsion direction). Squared
+    distances accumulate one coordinate at a time, as in
+    ``knn.block_sq_dists``, and the negatives are taken one column at a
+    time, so no (events, n_neg, dim) array is held.
     """
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
+    cols = np.asarray(Y, dtype=np.float64).T
 
-    def sq_dist(i, j):
-        # same coordinate-at-a-time accumulation as knn.block_sq_dists
-        s = 0.0
-        for t in range(Y.shape[1]):
-            s += (Y[i, t] - Y[j, t]) ** 2
+    def sq_dists(others: np.ndarray) -> np.ndarray:
+        s = np.zeros(len(anchors))
+        for col in cols:
+            diff = col[anchors]
+            diff -= col[others]
+            diff *= diff
+            s += diff
         return s
 
-    loss = -float(log_phi(sq_dist(a, b), p))
-    for c in np.atleast_1d(negs):
-        if c == a:
-            continue
-        loss -= float(np.log(max(one_minus_phi(sq_dist(a, c), p), LOG_CLAMP)))
-    return loss
+    losses = -log_phi(sq_dists(partners), p)
+    for c in negs.T:
+        log_q = repel_logs(sq_dists(c), p)
+        log_q[c == anchors] = 0.0
+        losses -= log_q
+    return losses

@@ -15,6 +15,13 @@ no earlier than the wave of the last earlier reader of any row it writes
 (write-after-read). Every sample of a wave reads the rows as they stood when
 the wave began and the wave's writes land when it ends, so the result is
 bit-identical to running the samples one at a time.
+
+The trace follows one rule at every n. Each epoch records the mean and
+standard error of its samples' step losses (``losses.step_losses``), each
+taken at the rows the sample read, i.e. along the trajectory and not at the
+epoch's end: the estimator whose expectation claim eq13 certifies. The full
+O(n^2) ``cross_entropy_loss`` runs only on the starting layout and the final
+one.
 """
 
 from __future__ import annotations
@@ -29,11 +36,9 @@ import numpy as np
 from .errors import ConfigurationError, OptimizationError
 from .fuzzy import SimilarityGraph
 from .kernels import KernelParams, grad_log_one_minus_phi_rows, grad_log_phi_rows
-from .losses import LossReport, cross_entropy_loss
+from .losses import LossReport, cross_entropy_loss, step_losses
 from .spectra import SpectralSolution, spectral_init
 
-# full-loss tracing is O(n^2) per epoch; skip it for large graphs
-TRACE_MAX_N = 5000
 # spectral starting coordinates are rescaled to this max-abs
 SPECTRAL_MAX_ABS = 10.0
 # samples per chunk that wave_schedule converts to Python lists at once
@@ -162,12 +167,20 @@ def spectral_embedding(sol: SpectralSolution) -> Embedding:
 @dataclass(frozen=True)
 class EpochStats:
     """What one epoch did: the waves its samples ran in, the negative draws
-    that hit their own anchor (skipped), and the fraction of gradient
-    coordinates that ``clip`` cut."""
+    that hit their own anchor (skipped), the fraction of gradient
+    coordinates that ``clip`` cut, and the mean and standard error of its
+    samples' step losses, both taken in sample order.
+
+    The step losses are those of ``losses.step_losses`` at the rows each
+    sample read before its update. Both are None for an epoch with no
+    samples, and the standard error is None for an epoch with one.
+    """
 
     waves: int
     self_collisions: int
     clip_frac: float
+    step_loss_mean: float | None
+    step_loss_se: float | None
 
 
 @dataclass(frozen=True)
@@ -175,6 +188,8 @@ class EpochRecord:
     """Trace entry for the state entering epoch ``epoch`` (the final entry,
     epoch == n_epochs, is the state after the last epoch; its alpha is 0).
 
+    ``loss`` is the full cross-entropy of this state, present only on the
+    first and the final entry (and on neither without ``track_loss``).
     ``stats`` and ``wall_s`` describe the epoch that produced this state;
     epoch 0 has neither. ``to_json`` leaves ``wall_s`` out so that a trace
     repeats byte for byte under a fixed seed.
@@ -284,7 +299,7 @@ def optimize(
     Y0: Embedding,
     p: KernelParams,
     cfg: OptimizerConfig,
-    track_loss: bool | None = None,
+    track_loss: bool = True,
 ) -> OptimizeResult:
     """Run negative-sampling SGD and return the trajectory end plus a loss trace.
 
@@ -292,6 +307,7 @@ def optimize(
     choice, orientation, and negatives, drawn in one block per epoch. The
     epoch's samples then run in waves (see the module docstring); each trace
     entry after the first carries that epoch's ``EpochStats`` and wall time.
+    ``track_loss`` adds the full cross-entropy to the first and final entry.
     """
     if Y0.n != V.n:
         raise ConfigurationError("embedding and graph disagree on vertex count")
@@ -304,13 +320,12 @@ def optimize(
         if cfg.samples_per_epoch is not None
         else sampler.weights.size
     )
-    if track_loss is None:
-        track_loss = n <= TRACE_MAX_N
 
     def record(epoch: int, stats: EpochStats | None = None,
                wall_s: float | None = None) -> EpochRecord:
         alpha = cfg.initial_lr * (1.0 - epoch / cfg.n_epochs)
-        loss = cross_entropy_loss(V, Y, p) if track_loss else None
+        endpoint = epoch in (0, cfg.n_epochs)
+        loss = cross_entropy_loss(V, Y, p) if track_loss and endpoint else None
         return EpochRecord(epoch=epoch, alpha=alpha, loss=loss, stats=stats, wall_s=wall_s)
 
     trace = [record(0)]
@@ -332,9 +347,14 @@ def optimize(
             anchors[order], partners[order], negs[order], live[order]
         )
         ends = np.cumsum(np.bincount(wave)).tolist()
+        losses = np.empty(n_samples)
         cut = 0
         lo = 0
         for hi in ends:
+            # each sample's loss at the rows it reads, before the wave writes
+            losses[order[lo:hi]] = step_losses(
+                Y, anchors[lo:hi], partners[lo:hi], negs[lo:hi], p
+            )
             cut += _run_wave(
                 Y, anchors[lo:hi], partners[lo:hi], negs[lo:hi], live[lo:hi], alpha, p, cfg
             )
@@ -351,6 +371,10 @@ def optimize(
             waves=len(ends),
             self_collisions=live.size - n_live,
             clip_frac=cut / ((n_samples + n_live) * d) if n_samples else 0.0,
+            step_loss_mean=float(losses.mean()) if n_samples else None,
+            step_loss_se=(
+                float(losses.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else None
+            ),
         )
         collisions += stats.self_collisions
         trace.append(record(epoch + 1, stats, wall_s))

@@ -208,33 +208,6 @@ def spectral_init(V: SimilarityGraph, d: int) -> SpectralSolution:
 
 
 @dataclass(frozen=True)
-class Partition:
-    """Binary vertex assignment defining the two-sided cut (S, complement)."""
-
-    assignment: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.assignment, dtype=bool)
-        object.__setattr__(self, "assignment", a)
-
-
-def ncut(V: SimilarityGraph, p: Partition) -> float:
-    """Normalized cut cut(S,Sc)/vol(S) + cut(S,Sc)/vol(Sc) of a 2-way partition."""
-    side = p.assignment
-    if side.shape != (V.n,):
-        raise ConfigurationError("partition must assign every vertex")
-    if side.all() or not side.any():
-        raise ConfigurationError("both sides of the partition must be nonempty")
-    deg = V.degrees()
-    vol_s = float(deg[side].sum())
-    vol_c = float(deg[~side].sum())
-    if vol_s <= 0 or vol_c <= 0:
-        raise GraphStructureError("both sides must have positive volume")
-    cut = float(V.matrix[side][:, ~side].sum())
-    return cut / vol_s + cut / vol_c
-
-
-@dataclass(frozen=True)
 class RelaxationReport:
     """Agreement between the (L, D) generalized and Lnorm ordinary eigenproblems."""
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import spectramap as sm
+from spectramap.losses import LOG_CLAMP
 
 
 @pytest.fixture(scope="session")
@@ -57,3 +58,30 @@ def random_similarity_graph(n, rng, density=0.3):
 def negated_laplacian_quadratic(V, Z):
     """A broken quadratic form, its sign flipped: the claim suite must fail on it."""
     return -sm.laplacian_quadratic(V, Z)
+
+
+def stochastic_step_loss(a, b, negs, Y, p):
+    """One negative-sampling event's loss, one scalar at a time: the oracle
+    that ``losses.step_losses`` must match bit for bit.
+
+    Positive pair (a, b) with the closed-form log phi, then each negative's
+    clamped log(1 - phi) in draw order; draws equal to the anchor are skipped.
+    """
+    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
+
+    def sq_dist(i, j):
+        # same coordinate-at-a-time accumulation as knn.block_sq_dists, which
+        # squares by multiplication: x ** 2 goes through pow, which can
+        # differ from x * x in the last bit
+        s = 0.0
+        for t in range(Y.shape[1]):
+            diff = Y[i, t] - Y[j, t]
+            s += diff * diff
+        return s
+
+    loss = -float(sm.log_phi(sq_dist(a, b), p))
+    for c in np.atleast_1d(negs):
+        if c == a:
+            continue
+        loss -= float(np.log(max(sm.one_minus_phi(sq_dist(a, c), p), LOG_CLAMP)))
+    return loss

@@ -92,8 +92,10 @@ class TestEmbed:
             tmp_path, "--kernel", "gaussian", "--tau", "1.0", "--n", 50,
         )
         assert code == 0
-        for line in (out / "trace.jsonl").read_text().strip().splitlines():
-            rec = json.loads(line)
+        records = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+        # the full loss is evaluated on the first and the final layout only
+        assert ["total" in rec for rec in records] == [True] + [False] * (len(records) - 2) + [True]
+        for rec in (records[0], records[-1]):
             assert rec["laplacian_form"] == pytest.approx(
                 rec["attract"], rel=1e-10
             )
@@ -125,6 +127,7 @@ class TestEmbed:
         for rec in records[1:]:
             assert rec["waves"] >= 1
             assert 0.0 <= rec["clip_frac"] <= 1.0
+            assert rec["step_loss_se"] > 0.0 and np.isfinite(rec["step_loss_mean"])
         report = json.loads((out / "run.json").read_text())
         assert sum(rec["self_collisions"] for rec in records[1:]) == report["self_collisions"]
         timing = json.loads((out / "timing.json").read_text())

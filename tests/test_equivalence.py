@@ -7,7 +7,7 @@ import spectramap as sm
 from spectramap import equivalence as eq
 from spectramap.errors import ConfigurationError, GraphStructureError
 
-from conftest import negated_laplacian_quadratic
+from conftest import negated_laplacian_quadratic, stochastic_step_loss
 
 
 class TestGaussianExactness:
@@ -136,7 +136,7 @@ class TestExpectedLossMonteCarlo:
         )
         scalar = np.array(
             [
-                sm.stochastic_step_loss(pairs[s, 0], pairs[s, 1], negs[s], Y, p)
+                stochastic_step_loss(pairs[s, 0], pairs[s, 1], negs[s], Y, p)
                 for s in range(n_draws)
             ]
         )

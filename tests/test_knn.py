@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,3 +143,17 @@ class TestBlockedSearch:
         ref_i, ref_d = per_row_knn(pts, 9)
         assert np.array_equal(g.indices, ref_i)
         assert np.array_equal(g.distances, ref_d)
+
+    def test_peak_memory_two_blocks(self):
+        # a block's distances are freed before the next block is allocated,
+        # so the search holds two blocks at a time, not three
+        rng = np.random.default_rng(14)
+        X = sm.DataMatrix(rng.standard_normal((2000, 16)))
+        assert 2000 > 2 * (knn.BLOCK_BYTES // (8 * 2000))
+        tracemalloc.start()
+        try:
+            sm.knn_search(X, 15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * knn.BLOCK_BYTES

@@ -10,7 +10,7 @@ from spectramap.equivalence import pipeline_graph
 from spectramap.errors import ConfigurationError
 from spectramap.losses import LOG_CLAMP
 
-from conftest import random_similarity_graph
+from conftest import random_similarity_graph, stochastic_step_loss
 
 
 def dense_loss_oracle(V, Y, p):
@@ -256,29 +256,39 @@ class TestExpectedSgdLoss:
             for c1 in (0, 1):
                 for c2 in (0, 1):
                     prob = 0.5 * 0.25
-                    total += prob * sm.stochastic_step_loss(a, b, [c1, c2], Y, p)
+                    total += prob * stochastic_step_loss(a, b, [c1, c2], Y, p)
         expected = sm.expected_sgd_loss(k2_graph, Y, p, n_neg)
         scale = k2_graph.total_weight()
         np.testing.assert_allclose(scale * total, expected, rtol=1e-12)
 
 
+def event_loss(a, b, negs, Y, p):
+    """One event's loss through ``step_losses``, checked against the scalar
+    oracle bit for bit."""
+    Y = np.asarray(Y, dtype=np.float64)
+    negs = np.array([negs], dtype=np.intp).reshape(1, len(negs))
+    loss = sm.step_losses(Y, np.array([a]), np.array([b]), negs, p)[0]
+    assert loss == stochastic_step_loss(a, b, negs[0], Y, p)
+    return loss
+
+
 class TestStochasticStepLoss:
     def test_saturated_positive_no_negatives(self):
         Y = np.zeros((2, 2))
-        loss = sm.stochastic_step_loss(0, 1, [], Y, sm.KernelParams.cauchy())
+        loss = event_loss(0, 1, [], Y, sm.KernelParams.cauchy())
         assert abs(loss) <= 1e-10  # coincident points: log phi(0) = 0
 
     def test_half_similarity_fixture(self):
         Y = np.array([[0.0], [1.0]])
         p = sm.KernelParams.cauchy(1.0, 1.0)
-        loss = sm.stochastic_step_loss(0, 1, [1], Y, p)
+        loss = event_loss(0, 1, [1], Y, p)
         np.testing.assert_allclose(loss, 2.0 * np.log(2.0), rtol=1e-12)
 
     def test_self_draws_skipped(self):
         Y = np.array([[0.0], [1.0]])
         p = sm.KernelParams.cauchy(1.0, 1.0)
-        with_self = sm.stochastic_step_loss(0, 1, [0, 1], Y, p)
-        without = sm.stochastic_step_loss(0, 1, [1], Y, p)
+        with_self = event_loss(0, 1, [0, 1], Y, p)
+        without = event_loss(0, 1, [1], Y, p)
         assert with_self == without
 
 

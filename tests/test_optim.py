@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
@@ -9,7 +10,7 @@ import spectramap as sm
 from spectramap.errors import ConfigurationError, OptimizationError
 from spectramap.optim import EdgeSampler, _build_alias_table, wave_schedule
 
-from conftest import random_similarity_graph
+from conftest import random_similarity_graph, stochastic_step_loss
 
 
 class TestAliasTable:
@@ -121,11 +122,30 @@ class TestOptimize:
         assert alphas == expected
 
     def test_loss_recorded_every_epoch(self, two_blob_graph):
+        """Every epoch records its step-loss statistics; the full loss is
+        evaluated on the first and the final state only."""
         Y0 = sm.init_embedding(two_blob_graph, 2, "spectral", 5)
         cfg = small_config(n_epochs=3)
         res = sm.optimize(two_blob_graph, Y0, sm.KernelParams.cauchy(), cfg)
         assert len(res.trace) == 4
-        assert all(rec.loss is not None for rec in res.trace)
+        assert [rec.loss is not None for rec in res.trace] == [True, False, False, True]
+        for rec in res.trace[1:]:
+            assert np.isfinite(rec.stats.step_loss_mean)
+            assert rec.stats.step_loss_se > 0.0
+
+    def test_endpoint_losses_on_large_sparse_graph(self):
+        """The endpoint rule holds at every n: a ring of 6000 vertices, built
+        without a k-NN search, still gets both full-loss reports."""
+        n = 6000
+        ring = np.arange(n)
+        W = sp.coo_matrix((np.full(n, 0.5), (ring, (ring + 1) % n)), shape=(n, n))
+        V = sm.SimilarityGraph((W + W.T).tocsr())
+        Y0 = sm.init_embedding(V, 2, "random", 0)
+        cfg = small_config(n_epochs=2, samples_per_epoch=100)
+        res = sm.optimize(V, Y0, sm.KernelParams.cauchy(), cfg)
+        assert isinstance(res.trace[0].loss, sm.LossReport)
+        assert isinstance(res.trace[-1].loss, sm.LossReport)
+        assert res.trace[1].loss is None
 
     def test_move_other_mirrors_attraction(self, k2_graph):
         Y0 = sm.Embedding(np.array([[0.0, 0.0], [2.0, 0.0]]), "external")
@@ -199,7 +219,7 @@ class TestExpectationLink:
         )
         losses = np.array(
             [
-                sm.stochastic_step_loss(pairs[s, 0], pairs[s, 1], negs[s], Y, p)
+                stochastic_step_loss(pairs[s, 0], pairs[s, 1], negs[s], Y, p)
                 for s in range(n_samples)
             ]
         )
@@ -209,12 +229,29 @@ class TestExpectationLink:
         expected = sm.expected_sgd_loss(V, Y, p, n_neg)
         assert abs(mc - expected) <= 3.0 * se
 
+    def test_traced_step_loss_matches_expected_loss(self, two_blob_graph):
+        """With a learning rate too small to move Y, an epoch's traced step
+        losses are Monte Carlo draws at Y0: their scaled mean is the epoch
+        expectation of claim eq13 within 3 standard errors."""
+        V = two_blob_graph
+        rng = np.random.default_rng(31)
+        Y0 = sm.Embedding(rng.uniform(-1.0, 1.0, size=(V.n, 2)), "external")
+        p = sm.KernelParams.cauchy(1.5, 1.0)
+        cfg = sm.OptimizerConfig(
+            n_epochs=1, n_neg=5, initial_lr=1e-12, seed=32, samples_per_epoch=20_000
+        )
+        stats = sm.optimize(V, Y0, p, cfg, track_loss=False).trace[1].stats
+        scale = V.total_weight()
+        expected = sm.expected_sgd_loss(V, Y0.coords, p, cfg.n_neg)
+        assert abs(scale * stats.step_loss_mean - expected) <= 3.0 * scale * stats.step_loss_se
+
 
 def sequential_reference(V, Y0, p, cfg):
     """One sample at a time, each step through the one-row public gradients:
     the definition the wave schedule must reproduce bit for bit. Returns the
-    final coordinates, the self-collision count and the clip fraction of each
-    epoch."""
+    final coordinates, the self-collision count, the clip fraction of each
+    epoch and each epoch's (mean, standard error) of the scalar oracle's step
+    losses, each taken before the sample's own update."""
     Y = Y0.coords.copy()
     n, d = Y.shape
     rng = np.random.default_rng(cfg.seed)
@@ -226,6 +263,7 @@ def sequential_reference(V, Y0, p, cfg):
     )
     collisions = 0
     clip_fracs = []
+    step_stats = []
     for epoch in range(cfg.n_epochs):
         alpha = cfg.initial_lr * (1.0 - epoch / cfg.n_epochs)
         pairs = sampler.sample_ordered_pairs(rng, n_samples)
@@ -233,8 +271,10 @@ def sequential_reference(V, Y0, p, cfg):
             n_samples, cfg.n_neg
         ) if cfg.n_neg else np.empty((n_samples, 0), dtype=np.int64)
         cut = coords = 0
+        losses = []
         for s in range(n_samples):
             a, b = pairs[s]
+            losses.append(stochastic_step_loss(a, b, negs[s], Y, p))
             grad = sm.grad_log_phi(Y[a], Y[b], p)
             cut += int(np.sum(np.abs(grad) > cfg.clip))
             coords += d
@@ -251,7 +291,11 @@ def sequential_reference(V, Y0, p, cfg):
                 coords += d
                 Y[a] += alpha * np.clip(g, -cfg.clip, cfg.clip)
         clip_fracs.append(cut / coords if coords else 0.0)
-    return Y, collisions, clip_fracs
+        losses = np.array(losses)
+        mean = float(losses.mean()) if losses.size else None
+        se = float(losses.std(ddof=1) / np.sqrt(losses.size)) if losses.size > 1 else None
+        step_stats.append((mean, se))
+    return Y, collisions, clip_fracs, step_stats
 
 
 kernels = st.one_of(
@@ -296,10 +340,13 @@ class TestWaveSchedule:
         )
         with np.errstate(over="ignore"):
             res = sm.optimize(V, Y0, p, cfg, track_loss=False)
-            Y, collisions, clip_fracs = sequential_reference(V, Y0, p, cfg)
+            Y, collisions, clip_fracs, step_stats = sequential_reference(V, Y0, p, cfg)
         assert np.array_equal(res.embedding.coords, Y)
         assert res.self_collisions == collisions
         assert [rec.stats.clip_frac for rec in res.trace[1:]] == clip_fracs
+        assert [
+            (rec.stats.step_loss_mean, rec.stats.step_loss_se) for rec in res.trace[1:]
+        ] == step_stats
         assert sum(rec.stats.self_collisions for rec in res.trace[1:]) == collisions
 
     def test_epoch_stats_on_two_blobs(self, two_blob_graph, tmp_path):
@@ -318,7 +365,8 @@ class TestWaveSchedule:
         res.write_trace_jsonl(path)
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert "waves" not in records[0]
-        assert {"waves", "self_collisions", "clip_frac"} <= set(records[1])
+        assert {"waves", "self_collisions", "clip_frac", "step_loss_mean",
+                "step_loss_se"} <= set(records[1])
         assert "wall_s" not in records[1]
 
     def test_waves_respect_both_orderings(self):

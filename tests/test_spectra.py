@@ -10,7 +10,6 @@ from spectramap.errors import ConfigurationError, EigensolverError, GraphStructu
 from spectramap.spectra import (
     DENSE_MAX_N,
     NULL_SPACE_TOL,
-    Partition,
     count_components,
     random_orthonormal_frame,
 )
@@ -228,38 +227,6 @@ class TestSparseSpectralInit:
         assert two_blob_graph.n <= DENSE_MAX_N
         sol = sm.spectral_init(two_blob_graph, 2)
         assert 0.0 <= sol.residual <= 1e-8
-
-
-class TestNcut:
-    def test_component_split_is_zero(self, two_cliques_graph):
-        p = Partition(np.array([True, True, False, False]))
-        assert sm.ncut(two_cliques_graph, p) == 0.0
-
-    def test_single_edge_split(self, k2_graph):
-        p = Partition(np.array([True, False]))
-        assert sm.ncut(k2_graph, p) == 2.0
-
-    def test_matches_double_sum_oracle(self):
-        rng = np.random.default_rng(8)
-        V = random_similarity_graph(12, rng)
-        side = rng.random(12) < 0.5
-        if side.all() or not side.any():
-            side[0] = ~side[0]
-        p = Partition(side)
-        W = V.matrix.toarray()
-        deg = W.sum(axis=1)
-        cut = sum(
-            W[i, j]
-            for i in range(12)
-            for j in range(12)
-            if side[i] and not side[j]
-        )
-        expected = cut / deg[side].sum() + cut / deg[~side].sum()
-        assert abs(sm.ncut(V, p) - expected) <= 1e-12 * expected
-
-    def test_empty_side_rejected(self, k2_graph):
-        with pytest.raises(ConfigurationError):
-            sm.ncut(k2_graph, Partition(np.array([True, True])))
 
 
 class TestNcutRelaxation:
