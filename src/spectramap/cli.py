@@ -265,6 +265,10 @@ def cmd_verify(args) -> int:
     (out_dir / "report.json").write_text(result.to_json() + "\n")
     table = equivalence.format_table(result)
     (out_dir / "report.txt").write_text(table + "\n")
+    # as for embed, wall times stay out of the reproducible reports
+    (out_dir / "timing.json").write_text(
+        json.dumps({"claim_wall_s": result.claim_wall_s}) + "\n"
+    )
     print(table)
     if not result.all_passed:
         failed = [r.claim for r in result.reports if not r.passed]

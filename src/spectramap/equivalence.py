@@ -17,10 +17,11 @@ reports the measured residual against a fixed tolerance. Claim ids:
 from __future__ import annotations
 
 import json
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .datasets import gen_blobs
 from .errors import ConfigurationError, GraphStructureError
@@ -55,6 +56,8 @@ CLAIM_IDS = (
     "a3_relaxation",
 )
 _CLAIM_CODE = {claim: idx for idx, claim in enumerate(CLAIM_IDS)}
+# Monte Carlo draws evaluated per step_losses call in the eq13 check
+MC_SLICE = 2**16
 
 
 @dataclass(frozen=True)
@@ -142,7 +145,7 @@ def random_connected_graph(
     dense = np.zeros((n, n))
     dense[rows, cols] = vals
     dense = np.maximum(dense, dense.T)
-    return SimilarityGraph(sp.csr_matrix(dense))
+    return SimilarityGraph.from_dense(dense)
 
 
 def check_gaussian_exactness(n: int, d: int, tau: float, seed) -> EquivalenceReport:
@@ -297,11 +300,17 @@ def mc_step_losses(
 
     The sampler's stream draws the ordered pairs, then the negatives;
     ``losses.step_losses`` evaluates every draw at Y, the same routine the
-    optimizer traces each epoch with.
+    optimizer traces each epoch with. Each draw's loss depends on that draw
+    alone, so they are evaluated ``MC_SLICE`` draws at a time into one
+    output array, keeping the evaluation's temporaries small.
     """
     pairs = EdgeSampler(V).sample_ordered_pairs(rng, n_draws)
     negs = sample_negatives(V.n, n_draws * n_neg, rng).reshape(n_draws, n_neg)
-    return step_losses(Y, pairs[:, 0], pairs[:, 1], negs, p)
+    losses = np.empty(n_draws)
+    for lo in range(0, n_draws, MC_SLICE):
+        s = slice(lo, lo + MC_SLICE)
+        losses[s] = step_losses(Y, pairs[s, 0], pairs[s, 1], negs[s], p)
+    return losses
 
 
 def check_expected_loss(
@@ -360,7 +369,7 @@ def check_laplacian_identity(trials: int, seed) -> EquivalenceReport:
         W = (A + A.T) / 2.0
         np.fill_diagonal(W, 0.0)
         Z = rng.standard_normal((n, d))
-        graph = SimilarityGraph(sp.csr_matrix(W))
+        graph = SimilarityGraph.from_dense(W)
         edge_form = laplacian_quadratic(graph, Z)
         L = np.diag(W.sum(axis=1)) - W
         dense_form = float(np.sum(Z * (L @ Z)))
@@ -416,8 +425,12 @@ class KernelizedRow:
 
 @dataclass
 class SuiteResult:
+    """The claim reports, plus each claim's wall time in seconds, which
+    differs run to run and so stays out of ``to_json``."""
+
     reports: list[EquivalenceReport]
     kernelized: KernelizedRow | None = None
+    claim_wall_s: dict[str, float] = field(default_factory=dict)
 
     @property
     def all_passed(self) -> bool:
@@ -457,62 +470,76 @@ def run_suite(
 
     reports: list[EquivalenceReport] = []
     kernelized = None
+    wall_s: dict[str, float] = {}
+
+    @contextmanager
+    def timed(claim: str):
+        start = time.perf_counter()
+        yield
+        wall_s[claim] = time.perf_counter() - start
 
     if "thm3.1a" in wanted:
-        rng = claim_rng(master_seed, "thm3.1a")
-        for tau in (0.5, 1.0, 2.0):
-            reports.append(
-                check_gaussian_exactness(DEFAULT_N, DEFAULT_D, tau, rng.integers(2**31))
-            )
+        with timed("thm3.1a"):
+            rng = claim_rng(master_seed, "thm3.1a")
+            for tau in (0.5, 1.0, 2.0):
+                reports.append(
+                    check_gaussian_exactness(DEFAULT_N, DEFAULT_D, tau, rng.integers(2**31))
+                )
 
     if "thm3.1b" in wanted:
-        rng = claim_rng(master_seed, "thm3.1b")
-        seeds = rng.integers(2**31, size=len(CAUCHY_SCALES))
-        for scale, s in zip(CAUCHY_SCALES, seeds):
-            reports.append(
-                check_cauchy_first_order(DEFAULT_N, DEFAULT_D, 1.0, scale, s)
-            )
-        # descriptive row: the fitted kernel has no quadratic counterpart
-        fit = fit_ab(0.1)
-        V, Y = _scaled_instance(DEFAULT_N, DEFAULT_D, 0.1, seeds[0])
-        att = attractive_term(V, Y, KernelParams.cauchy(fit.fitted_a, fit.fitted_b))
-        kernelized = KernelizedRow(a=fit.fitted_a, b=fit.fitted_b, attract=att)
+        with timed("thm3.1b"):
+            rng = claim_rng(master_seed, "thm3.1b")
+            seeds = rng.integers(2**31, size=len(CAUCHY_SCALES))
+            for scale, s in zip(CAUCHY_SCALES, seeds):
+                reports.append(
+                    check_cauchy_first_order(DEFAULT_N, DEFAULT_D, 1.0, scale, s)
+                )
+            # descriptive row: the fitted kernel has no quadratic counterpart
+            fit = fit_ab(0.1)
+            V, Y = _scaled_instance(DEFAULT_N, DEFAULT_D, 0.1, seeds[0])
+            att = attractive_term(V, Y, KernelParams.cauchy(fit.fitted_a, fit.fitted_b))
+            kernelized = KernelizedRow(a=fit.fitted_a, b=fit.fitted_b, attract=att)
 
     if "eq20_bound" in wanted:
-        rng = claim_rng(master_seed, "eq20_bound")
-        for scale in (0.5, 0.05):
+        with timed("eq20_bound"):
+            rng = claim_rng(master_seed, "eq20_bound")
+            for scale in (0.5, 0.05):
+                reports.append(
+                    check_taylor_bound(
+                        DEFAULT_N, DEFAULT_D, 1.0, scale, rng.integers(2**31)
+                    )
+                )
+
+    if "thm3.1c" in wanted:
+        with timed("thm3.1c"):
+            rng = claim_rng(master_seed, "thm3.1c")
+            V = connected_two_blob_graph(rng.integers(2**31))
             reports.append(
-                check_taylor_bound(
-                    DEFAULT_N, DEFAULT_D, 1.0, scale, rng.integers(2**31)
+                check_spectral_optimality(V, d=2, trials=100, seed=rng.integers(2**31))
+            )
+
+    if "eq13_montecarlo" in wanted:
+        with timed("eq13_montecarlo"):
+            rng = claim_rng(master_seed, "eq13_montecarlo")
+            V = pipeline_graph(8, rng.integers(2**31), k=3)
+            Y = rng.uniform(-1.0, 1.0, size=(V.n, DEFAULT_D))
+            reports.append(
+                check_expected_loss(
+                    V, Y, KernelParams.cauchy(), 5, n_draws, rng.integers(2**31)
                 )
             )
 
-    if "thm3.1c" in wanted:
-        rng = claim_rng(master_seed, "thm3.1c")
-        V = connected_two_blob_graph(rng.integers(2**31))
-        reports.append(
-            check_spectral_optimality(V, d=2, trials=100, seed=rng.integers(2**31))
-        )
-
-    if "eq13_montecarlo" in wanted:
-        rng = claim_rng(master_seed, "eq13_montecarlo")
-        V = pipeline_graph(8, rng.integers(2**31), k=3)
-        Y = rng.uniform(-1.0, 1.0, size=(V.n, DEFAULT_D))
-        reports.append(
-            check_expected_loss(
-                V, Y, KernelParams.cauchy(), 5, n_draws, rng.integers(2**31)
-            )
-        )
-
     if "lemmaA1" in wanted:
-        rng = claim_rng(master_seed, "lemmaA1")
-        reports.append(check_laplacian_identity(1000, rng.integers(2**31)))
+        with timed("lemmaA1"):
+            rng = claim_rng(master_seed, "lemmaA1")
+            reports.append(check_laplacian_identity(1000, rng.integers(2**31)))
 
     if "a3_relaxation" in wanted:
-        rng = claim_rng(master_seed, "a3_relaxation")
-        reports.append(check_ncut_relaxation(20, rng.integers(2**31)))
+        with timed("a3_relaxation"):
+            rng = claim_rng(master_seed, "a3_relaxation")
+            reports.append(check_ncut_relaxation(20, rng.integers(2**31)))
 
-    return SuiteResult(reports=reports, kernelized=kernelized)
+    return SuiteResult(reports=reports, kernelized=kernelized, claim_wall_s=wall_s)
 
 
 def format_table(result: SuiteResult) -> str:

@@ -5,15 +5,23 @@ the nearest distinct neighbor) and bandwidth sigma_i (binary search so the
 smoothed neighbor weights sum to log2 k), directed edge weights
 exp(-max(0, d - rho_i) / sigma_i), and symmetrization through the
 probabilistic t-conorm a (+) b = a + b - ab.
+
+The result is a ``SimilarityGraph``: the canonical edge arrays (rows, cols,
+weights; row-major, sorted, duplicate-free) of a symmetric matrix with zero
+diagonal and weights in [0, 1], validated once with numpy when the graph is
+made. Edge sums read those arrays; the scipy CSR matrix is built only when
+Laplacian or component work first asks for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .datasets import DataMatrix
 from .errors import ConfigurationError, GraphStructureError, ParseError
@@ -158,54 +166,136 @@ def t_conorm(a, b):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
+def _index_dtype(n: int, nnz: int):
+    """scipy's choice of sparse index dtype: int32 while it can hold n and nnz."""
+    return np.int32 if max(n, nnz) < 2**31 else np.int64
+
+
 class SimilarityGraph:
-    """Symmetric fuzzy adjacency matrix with weights in [0, 1], zero diagonal."""
+    """Symmetric fuzzy adjacency matrix with weights in [0, 1], zero diagonal.
 
-    matrix: sp.csr_matrix
+    The graph is its vertex count ``n`` and the canonical arrays ``rows``,
+    ``cols`` and ``weights`` of its stored entries: row-major, sorted and
+    duplicate-free, with both orientations of every edge, scipy's int32 index
+    dtype (int64 once n or nnz outgrows it) and float64 weights, all
+    read-only. An explicitly stored zero stays an entry. The constructors
+    validate the arrays once: the matrix is square, its weights are finite,
+    it is exactly symmetric (W_ij == W_ji as values, a missing entry counting
+    as 0), its diagonal is zero and its weights lie in [0, 1]. The scipy CSR
+    ``matrix``, the degrees and the connected components are each computed
+    on first use and kept; the graph is immutable.
 
-    def __post_init__(self):
-        m = self.matrix.tocsr()
+    ``SimilarityGraph(sparse)`` takes any scipy sparse matrix and sums
+    duplicate entries first; ``from_dense`` never builds a scipy matrix.
+    """
+
+    def __init__(self, matrix):
+        if matrix.shape[0] != matrix.shape[1]:
+            raise GraphStructureError("adjacency matrix must be square")
+        m = matrix.tocsr(copy=True)
         m.sum_duplicates()
         m.sort_indices()
-        if m.shape[0] != m.shape[1]:
-            raise GraphStructureError("adjacency matrix must be square")
-        if not np.all(np.isfinite(m.data)):
-            # NaN fails every comparison below, so it must be caught first
-            raise GraphStructureError("edge weights must be finite")
-        asym = m - m.T
-        if asym.nnz and np.abs(asym.data).max() > 0.0:
-            raise GraphStructureError("adjacency matrix must be exactly symmetric")
-        if m.diagonal().any():
-            raise GraphStructureError("diagonal must be zero")
-        if m.nnz and (m.data.min() < 0.0 or m.data.max() > 1.0):
-            raise GraphStructureError("edge weights must lie in [0, 1]")
-        object.__setattr__(self, "matrix", m)
+        rows = np.repeat(np.arange(m.shape[0], dtype=m.indices.dtype), np.diff(m.indptr))
+        self._set(m.shape[0], rows, m.indices, m.data)
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def nnz(self) -> int:
-        return self.matrix.nnz
-
-    def degrees(self) -> np.ndarray:
-        return np.asarray(self.matrix.sum(axis=1)).ravel()
-
-    def total_weight(self) -> float:
-        """Sum of v_ij over ordered pairs (twice the undirected total)."""
-        return float(self.matrix.sum())
-
-    def edges(self):
-        """Upper-triangle edge view: (i, j, w) arrays with i < j."""
-        coo = self.matrix.tocoo()
-        keep = coo.row < coo.col
-        return coo.row[keep], coo.col[keep], coo.data[keep]
+    @classmethod
+    def _from_arrays(cls, n, rows, cols, weights) -> "SimilarityGraph":
+        """Graph on canonical arrays (row-major, sorted, duplicate-free),
+        which it takes over and makes read-only."""
+        graph = cls.__new__(cls)
+        graph._set(n, rows, cols, weights)
+        return graph
 
     @classmethod
     def from_dense(cls, dense) -> "SimilarityGraph":
-        return cls(sp.csr_matrix(np.asarray(dense, dtype=np.float64)))
+        """Graph on the nonzero entries of a square array."""
+        dense = np.atleast_2d(np.asarray(dense, dtype=np.float64))
+        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+            raise GraphStructureError("adjacency matrix must be square")
+        rows, cols = np.nonzero(dense)
+        idx = _index_dtype(dense.shape[0], rows.size)
+        return cls._from_arrays(
+            dense.shape[0], rows.astype(idx), cols.astype(idx), dense[rows, cols]
+        )
+
+    def _set(self, n, rows, cols, weights) -> None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if not np.all(np.isfinite(weights)):
+            # NaN fails every comparison below, so it must be caught first
+            raise GraphStructureError("edge weights must be finite")
+        # symmetric iff the nonzero entries, keyed col * n + row and sorted,
+        # repeat the row-major keys row * n + col with the same weights
+        nz = weights != 0.0
+        r, c, w = rows[nz], cols[nz], weights[nz]
+        key_t = c.astype(np.int64) * n + r
+        order = np.argsort(key_t)
+        if not (
+            np.array_equal(key_t[order], r.astype(np.int64) * n + c)
+            and np.array_equal(w[order], w)
+        ):
+            raise GraphStructureError("adjacency matrix must be exactly symmetric")
+        if np.any(w[r == c]):
+            raise GraphStructureError("diagonal must be zero")
+        if weights.size and (weights.min() < 0.0 or weights.max() > 1.0):
+            raise GraphStructureError("edge weights must lie in [0, 1]")
+        for name, arr in (("rows", rows), ("cols", cols), ("weights", weights)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "n", int(n))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SimilarityGraph is immutable")
+
+    __delattr__ = __setattr__
+
+    @property
+    def nnz(self) -> int:
+        return self.weights.size
+
+    @cached_property
+    def _indptr(self) -> np.ndarray:
+        # CSR row starts: row i's entries are [indptr[i], indptr[i + 1])
+        counts = np.bincount(self.rows, minlength=self.n)
+        indptr = np.zeros(self.n + 1, dtype=self.rows.dtype)
+        np.cumsum(counts, out=indptr[1:])
+        indptr.flags.writeable = False
+        return indptr
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The adjacency matrix as scipy CSR, for Laplacian and graph work."""
+        return sp.csr_matrix(
+            (self.weights, self.cols, self._indptr), shape=(self.n, self.n), copy=True
+        )
+
+    @cached_property
+    def components(self) -> tuple[int, np.ndarray]:
+        """Number of connected components and each vertex's component label."""
+        count, labels = connected_components(self.matrix, directed=False)
+        labels.flags.writeable = False
+        return int(count), labels
+
+    @cached_property
+    def _degrees(self) -> np.ndarray:
+        # per-row sums in stored order, as scipy's ``matrix.sum(axis=1)``
+        deg = np.zeros(self.n)
+        nonempty = np.flatnonzero(np.diff(self._indptr))
+        if nonempty.size:
+            deg[nonempty] = np.add.reduceat(self.weights, self._indptr[nonempty])
+        return deg
+
+    def degrees(self) -> np.ndarray:
+        """d_i = sum_j v_ij for every vertex (a fresh copy)."""
+        return self._degrees.copy()
+
+    def total_weight(self) -> float:
+        """Sum of v_ij over ordered pairs (twice the undirected total)."""
+        return float(np.sum(self.weights))
+
+    def edges(self):
+        """Upper-triangle edge view: (i, j, w) arrays with i < j."""
+        keep = self.rows < self.cols
+        return self.rows[keep], self.cols[keep], self.weights[keep]
 
     def save_edge_list(self, path) -> None:
         """Text serialization: one `i j w` line per undirected edge, i < j."""
@@ -277,9 +367,9 @@ def symmetrize(directed: DirectedWeights) -> SimilarityGraph:
     q[np.searchsorted(keys, key_bwd)] = coo.data
 
     w = t_conorm(p, q)
-    rows, cols = keys // n, keys % n
-    mat = sp.csr_matrix((w, (rows, cols)), shape=(n, n))
-    return SimilarityGraph(matrix=mat)
+    # the keys are sorted and unique, so these arrays are already canonical
+    idx = _index_dtype(n, keys.size)
+    return SimilarityGraph._from_arrays(n, (keys // n).astype(idx), (keys % n).astype(idx), w)
 
 
 def build_similarity_graph(X: DataMatrix, k: int) -> SimilarityGraph:

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConfigurationError, EigensolverError, GraphStructureError
@@ -79,18 +78,19 @@ def build_laplacians(V: SimilarityGraph) -> LaplacianPair:
 def edge_sq_lengths(V: SimilarityGraph, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weights w and squared lengths s = ||Y_i - Y_j||^2 of the stored edges.
 
-    Both orientations of each undirected edge appear. Every edge-sum form
-    (attraction, quadratic form, curvature bound) reads its lengths here;
-    rejects a Y whose row count is not the graph's vertex count.
+    Reads the graph's canonical edge arrays, in their row-major order, with
+    both orientations of each undirected edge; no sparse matrix is built.
+    Every edge-sum form (attraction, quadratic form, curvature bound) reads
+    its lengths here; rejects a Y whose row count is not the graph's vertex
+    count.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     if Y.shape[0] != V.n:
         raise ConfigurationError(
             f"Y has {Y.shape[0]} rows but the graph has {V.n} vertices"
         )
-    coo = V.matrix.tocoo()
-    diff = Y[coo.row] - Y[coo.col]
-    return coo.data, np.einsum("ij,ij->i", diff, diff)
+    diff = Y[V.rows] - Y[V.cols]
+    return V.weights, np.einsum("ij,ij->i", diff, diff)
 
 
 def laplacian_quadratic(V: SimilarityGraph, Z: np.ndarray) -> float:
@@ -178,7 +178,7 @@ def spectral_init(V: SimilarityGraph, d: int) -> SpectralSolution:
     if d < 1:
         raise ConfigurationError("d must be >= 1")
     pair = build_laplacians(V)
-    n_null, labels = connected_components(V.matrix, directed=False)
+    n_null, labels = V.components
     if d + n_null > V.n:
         raise ConfigurationError(
             f"d={d} eigenvectors requested but only {V.n - n_null} non-null available"
@@ -220,7 +220,7 @@ class RelaxationReport:
 def ncut_relaxation_check(V: SimilarityGraph, d: int) -> RelaxationReport:
     """Verify that generalized eigenvectors of (L, D) map onto Lnorm's under
     u -> D^{1/2} u, comparing eigenvalue lists and subspace principal angles."""
-    n_comp, _ = connected_components(V.matrix, directed=False)
+    n_comp = count_components(V)
     if n_comp != 1:
         raise GraphStructureError(
             f"relaxation check requires a connected graph, found {n_comp} components"
@@ -259,5 +259,4 @@ def random_orthonormal_frame(
 
 
 def count_components(V: SimilarityGraph) -> int:
-    n_comp, _ = connected_components(V.matrix, directed=False)
-    return int(n_comp)
+    return V.components[0]

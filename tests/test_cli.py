@@ -171,6 +171,15 @@ class TestVerify:
         report = json.loads((out / "report.json").read_text())
         assert {r["claim"] for r in report["reports"]} == {"lemmaA1"}
 
+    def test_timing_holds_each_claim_run(self, tmp_path):
+        out = tmp_path / "verify"
+        claims = ["thm3.1a", "lemmaA1"]
+        assert run_cli("verify", "--claims", ",".join(claims), "--out-dir", out) == 0
+        wall = json.loads((out / "timing.json").read_text())["claim_wall_s"]
+        assert sorted(wall) == sorted(claims)
+        assert all(t > 0.0 for t in wall.values())
+        assert "wall" not in (out / "report.json").read_text()
+
     def test_sabotage_exits_nonzero(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(equivalence, "laplacian_quadratic", negated_laplacian_quadratic)
         out = tmp_path / "verify"

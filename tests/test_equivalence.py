@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,31 @@ class TestExpectedLossMonteCarlo:
                 k2_graph, np.array([[0.0], [1.0]]), sm.KernelParams.cauchy(), 0, 1, 3
             )
 
+    def test_slices_match_one_call(self, monkeypatch):
+        V = eq.pipeline_graph(8, 4, k=3)
+        Y = np.random.default_rng(5).uniform(-1, 1, size=(V.n, 2))
+        p = sm.KernelParams.cauchy()
+        rng = np.random.default_rng(6)
+        pairs = eq.EdgeSampler(V).sample_ordered_pairs(rng, 50)
+        negs = eq.sample_negatives(V.n, 50 * 3, rng).reshape(50, 3)
+        whole = eq.step_losses(Y, pairs[:, 0], pairs[:, 1], negs, p)
+        monkeypatch.setattr(eq, "MC_SLICE", 7)
+        sliced = eq.mc_step_losses(V, Y, p, 3, 50, np.random.default_rng(6))
+        assert np.array_equal(sliced, whole)
+
+    def test_peak_memory_of_default_draws(self):
+        # the 200000 draws' pairs and negatives take about 9.2 MiB; one
+        # step_losses call over all of them peaked at 16.9 MiB
+        V = eq.pipeline_graph(8, 0, k=3)
+        Y = np.random.default_rng(1).uniform(-1, 1, size=(V.n, 2))
+        tracemalloc.start()
+        try:
+            eq.check_expected_loss(V, Y, sm.KernelParams.cauchy(), 5, 200_000, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15 * 2**20
+
     def test_vectorized_draws_match_scalar_path(self):
         """The vectorized Monte Carlo loss agrees with the per-event scalar
         routine draw by draw when fed the same sample stream."""
@@ -148,6 +174,16 @@ class TestLaplacianIdentity:
         rep = eq.check_laplacian_identity(1000, 0)
         assert rep.passed
         assert rep.residual <= 1e-12
+
+    def test_builds_no_scipy_matrix(self, monkeypatch):
+        import scipy.sparse
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("lemmaA1 built a scipy sparse matrix")
+
+        monkeypatch.setattr(scipy.sparse, "csr_matrix", refuse)
+        monkeypatch.setattr(scipy.sparse, "coo_matrix", refuse)
+        assert eq.check_laplacian_identity(50, 0).passed
 
 
 class TestNcutRelaxationClaim:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -7,6 +8,7 @@ import spectramap as sm
 from spectramap.errors import ConfigurationError, GraphStructureError, ParseError
 from spectramap.fuzzy import BRACKET_HI, t_conorm
 from spectramap.knn import KnnGraph
+from spectramap.spectra import edge_sq_lengths
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -167,8 +169,6 @@ class TestSymmetrize:
         assert V.matrix.diagonal().max() == 0.0
 
     def test_single_direction_passthrough(self):
-        import scipy.sparse as sp
-
         from spectramap.fuzzy import DirectedWeights
 
         m = sp.csr_matrix(np.array([[0.0, 0.4], [0.0, 0.0]]))
@@ -244,6 +244,131 @@ class TestNonFiniteWeights:
         dense = [[0.0, bad, 0.5], [bad, 0.0, 0.5], [0.5, 0.5, 0.0]]
         with pytest.raises(GraphStructureError, match="finite"):
             sm.SimilarityGraph.from_dense(dense)
+
+
+def scipy_rules(x):
+    """The graph rules checked with scipy on the duplicate-summed matrix:
+    (error message or None, canonical CSR)."""
+    m = x.tocsr(copy=True)
+    m.sum_duplicates()
+    m.sort_indices()
+    if m.shape[0] != m.shape[1]:
+        return "adjacency matrix must be square", m
+    if not np.all(np.isfinite(m.data)):
+        return "edge weights must be finite", m
+    asym = m - m.T
+    if asym.nnz and np.abs(asym.data).max() > 0.0:
+        return "adjacency matrix must be exactly symmetric", m
+    if m.diagonal().any():
+        return "diagonal must be zero", m
+    if m.nnz and (m.data.min() < 0.0 or m.data.max() > 1.0):
+        return "edge weights must lie in [0, 1]", m
+    return None, m
+
+
+FLAWS = ("none", "ulp", "explicit_zero", "duplicate", "diagonal", "nonfinite",
+         "out_of_range", "non_square")
+
+
+@st.composite
+def adjacency_entries(draw):
+    """(shape, rows, cols, vals) of a symmetric unit-weight matrix with one
+    drawn flaw; entries may repeat and are not sorted."""
+    n = draw(st.integers(1, 7))
+    flaw = draw(st.sampled_from(FLAWS))
+    upper = draw(hnp.arrays(np.float64, (n, n), elements=unit))
+    keep = draw(hnp.arrays(np.bool_, (n, n)))
+    W = np.triu(np.where(keep, upper, 0.0), 1)
+    W = W + W.T
+    rows, cols = (list(a) for a in np.nonzero(W))
+    vals = list(W[rows, cols])
+    shape = (n, n)
+    vertex = st.integers(0, n - 1)
+    i, j = draw(vertex), draw(vertex)
+    mirror = draw(st.booleans())
+    if flaw == "ulp":
+        if vals:
+            e = draw(st.integers(0, len(vals) - 1))
+            vals[e] = np.nextafter(vals[e], draw(st.sampled_from([0.0, 1.0])))
+    elif flaw == "non_square":
+        shape = (n, n + draw(st.integers(1, 2)))
+    elif flaw != "none":
+        value = {
+            "explicit_zero": st.just(0.0),
+            "duplicate": unit,
+            "diagonal": unit,
+            "nonfinite": st.sampled_from([np.nan, np.inf, -np.inf]),
+            "out_of_range": st.floats(-1.0, -1e-300) | st.floats(1.0, 2.0, exclude_min=True),
+        }[flaw]
+        x = draw(value)
+        if flaw == "diagonal":
+            j = i
+        for a, b in [(i, j), (j, i)] if mirror or flaw == "out_of_range" else [(i, j)]:
+            rows.append(a)
+            cols.append(b)
+            vals.append(x)
+    return shape, np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), np.array(vals)
+
+
+class TestGraphValidation:
+    """``SimilarityGraph`` validates its edge arrays with numpy; it must accept
+    exactly what the scipy rules accept, and its readers must match the
+    scipy matrix entry for entry."""
+
+    def _check(self, make, x):
+        message, m = scipy_rules(x)
+        if message is not None:
+            with pytest.raises(GraphStructureError) as err:
+                make()
+            assert str(err.value) == message
+            return
+        V = make()
+        coo = m.tocoo()
+        up = coo.row < coo.col
+        i, j, w = V.edges()
+        assert i.dtype == coo.row.dtype and j.dtype == coo.col.dtype
+        assert np.array_equal(i, coo.row[up]) and np.array_equal(j, coo.col[up])
+        assert np.array_equal(w, coo.data[up])
+        assert np.array_equal(V.degrees(), np.asarray(m.sum(axis=1)).ravel())
+        assert V.total_weight() == float(m.sum())
+        assert V.nnz == m.nnz
+        Y = np.random.default_rng(V.nnz).standard_normal((V.n, 2))
+        diff = Y[coo.row] - Y[coo.col]
+        w_all, s_all = edge_sq_lengths(V, Y)
+        assert np.array_equal(w_all, coo.data)
+        assert np.array_equal(s_all, np.einsum("ij,ij->i", diff, diff))
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(V.matrix, attr), getattr(m, attr))
+
+    @settings(max_examples=300, deadline=None)
+    @given(adjacency_entries(), st.sampled_from(["coo", "csr"]))
+    def test_sparse_input(self, entries, fmt):
+        shape, rows, cols, vals = entries
+        if fmt == "coo":
+            x = sp.coo_matrix((vals, (rows, cols)), shape=shape)
+        else:
+            # raw CSR arrays: duplicates kept, columns unsorted within a row
+            order = np.argsort(rows, kind="stable")
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
+            x = sp.csr_matrix((vals[order], cols[order], indptr), shape=shape)
+        self._check(lambda: sm.SimilarityGraph(x), x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(adjacency_entries())
+    def test_dense_input(self, entries):
+        shape, rows, cols, vals = entries
+        dense = np.zeros(shape)
+        dense[rows, cols] = vals
+        self._check(lambda: sm.SimilarityGraph.from_dense(dense), sp.csr_matrix(dense))
+
+    def test_arrays_and_caches_are_read_only(self, p3_graph):
+        for arr in (p3_graph.rows, p3_graph.cols, p3_graph.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        p3_graph.degrees()[0] = 5.0
+        assert p3_graph.degrees()[0] == 1.0
+        with pytest.raises(AttributeError):
+            p3_graph.n = 4
 
 
 @st.composite

@@ -20,7 +20,8 @@ def brute_force_knn(points, k):
                 continue
             d2 = 0.0
             for t in range(points.shape[1]):
-                d2 += (points[i, t] - points[j, t]) ** 2
+                diff = points[i, t] - points[j, t]
+                d2 += diff * diff
             cand.append((d2, j))
         cand.sort()
         indices[i] = [j for _, j in cand[:k]]
@@ -38,7 +39,8 @@ def per_row_knn(points, k):
     for i in range(n):
         d2 = np.zeros(n)
         for t in range(points.shape[1]):
-            d2 += (points[:, t] - points[i, t]) ** 2
+            diff = points[:, t] - points[i, t]
+            d2 += diff * diff
         d2[i] = np.inf
         order = np.lexsort((ids, d2))[:k]
         indices[i] = order

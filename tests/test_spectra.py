@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import spectramap as sm
-from spectramap import spectra
+from spectramap import fuzzy, spectra
 from spectramap.errors import ConfigurationError, EigensolverError, GraphStructureError
 from spectramap.spectra import (
     DENSE_MAX_N,
@@ -259,3 +260,18 @@ class TestComponents:
     def test_counts(self, two_cliques_graph, p3_graph):
         assert count_components(two_cliques_graph) == 2
         assert count_components(p3_graph) == 1
+
+    def test_computed_once_per_graph(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return connected_components(*args, **kwargs)
+
+        monkeypatch.setattr(fuzzy, "connected_components", counted)
+        points = np.random.default_rng(3).standard_normal((40, 2))
+        V = sm.build_similarity_graph(sm.DataMatrix(points), 8)
+        sol = sm.spectral_init(V, 2)
+        assert count_components(V) == sol.n_null
+        sm.ncut_relaxation_check(V, 2)
+        assert len(calls) == 1
