@@ -17,8 +17,9 @@ import numpy as np
 from . import equivalence
 from .datasets import LabeledDataset, gen_blobs, gen_two_moons, load_csv, save_csv
 from .errors import ConfigurationError, KernelFitError, ParseError
-from .fuzzy import build_similarity_graph
+from .fuzzy import directed_weights, smooth_knn_params, symmetrize
 from .kernels import KernelParams, fit_ab
+from .knn import knn_search
 from .optim import OptimizerConfig, init_embedding, optimize, spectral_embedding
 from .spectra import count_components, spectral_init
 from .svgplot import svg_scatter
@@ -195,7 +196,9 @@ def cmd_embed(args) -> int:
         print(f"error [optimizer]: {exc}", file=sys.stderr)
         return 2
     try:
-        V = build_similarity_graph(ds.data, args.k)
+        knn = knn_search(ds.data, args.k)
+        calibration = smooth_knn_params(knn)
+        V = symmetrize(directed_weights(knn, calibration))
     except Exception as exc:
         print(f"error [graph, k={args.k}]: {exc}", file=sys.stderr)
         return 2
@@ -236,6 +239,9 @@ def cmd_embed(args) -> int:
         "graph_nnz": V.nnz,
         "graph": {"components": count_components(V),
                   "degree_min": float(deg.min()), "degree_max": float(deg.max())},
+        "knn": {"exact_evals": knn.exact_evals},
+        "calibration": {"flagged_rows": int(calibration.flagged.sum()),
+                        "max_residual": float(calibration.residual.max())},
         "self_collisions": result.self_collisions,
         "initial_total": result.trace[0].loss.total if result.trace[0].loss else None,
         "final_total": result.trace[-1].loss.total if result.trace[-1].loss else None,

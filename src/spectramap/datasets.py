@@ -105,19 +105,37 @@ def gen_two_moons(n: int, noise: float, seed: int) -> LabeledDataset:
     return LabeledDataset(DataMatrix(pts), labels)
 
 
-def _is_number(token: str) -> bool:
+def _floats(cells: list[str]) -> list[float] | None:
+    """Every cell as a float, or None when one is not a number."""
     try:
-        float(token)
+        return [float(cell) for cell in cells]
     except ValueError:
-        return False
-    return True
+        return None
+
+
+def _stripped_floats(cells: list[str], path: Path, line_no: int) -> list[float]:
+    """The cells stripped and parsed one at a time, raising at the first that
+    is not a number. float() rejects the separators U+001C to U+001F, which
+    str.strip() removes, so a row can fail ``_floats`` and pass here."""
+    values = []
+    for c, cell in enumerate(cells):
+        cell = cell.strip()
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise ParseError(
+                f"{path}: row {line_no}, column {c + 1}: not a number: {cell!r}"
+            ) from None
+    return values
 
 
 def load_csv(path, has_labels: bool = False) -> LabeledDataset:
     """Load a rectangular numeric CSV, optionally with a final integer label column.
 
     A header row is auto-detected when the first row contains any non-numeric
-    cell. Rows and columns in error messages are 1-based file positions.
+    cell. Each cell is parsed once; a row with a non-numeric cell is parsed
+    again, stripped, to find that cell. Rows and columns in error messages
+    are 1-based file positions.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -125,10 +143,9 @@ def load_csv(path, has_labels: bool = False) -> LabeledDataset:
     raw = [row for row in raw if row and any(cell.strip() for cell in row)]
     if not raw:
         raise ParseError(f"{path}: empty file")
+    parsed = [_floats(row) for row in raw]
 
-    start = 0
-    if any(not _is_number(cell) for cell in raw[0]):
-        start = 1  # header row
+    start = 0 if parsed[0] is not None else 1  # 1: header row
 
     width = len(raw[start]) if start < len(raw) else 0
     rows = []
@@ -140,22 +157,14 @@ def load_csv(path, has_labels: bool = False) -> LabeledDataset:
             raise ParseError(
                 f"{path}: row {line_no} has {len(row)} fields, expected {width}"
             )
-        values = []
-        for c, cell in enumerate(row):
-            cell = cell.strip()
-            if not _is_number(cell):
-                raise ParseError(
-                    f"{path}: row {line_no}, column {c + 1}: not a number: {cell!r}"
-                )
-            values.append(float(cell))
+        values = parsed[r] if parsed[r] is not None else _stripped_floats(row, path, line_no)
         if has_labels:
-            lab = values[-1]
-            if lab != int(lab):
+            lab = values.pop()
+            if not lab.is_integer():
                 raise ParseError(
                     f"{path}: row {line_no}, column {width}: label must be an integer"
                 )
             labels.append(int(lab))
-            values = values[:-1]
         rows.append(values)
 
     if len(rows) < 2:

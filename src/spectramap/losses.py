@@ -12,8 +12,8 @@ edges, the repulsion is evaluated as an all-pairs sum minus an edge give-back,
     repel = sum_i r_i + sum_edges v_ij * log(1 - phi(s_ij)),
     r_i   = -sum_{j != i} log(1 - phi(s_ij)),
 
-where the row sums r_i run over ``knn.row_blocks`` with the k-NN search's
-coordinate-order ``block_sq_dists``, so no n x n array is ever held, and the
+where the row sums r_i run over cache-sized ``knn.row_block_buffers`` with
+the coordinate-order ``block_sq_dists``, so no n x n array is ever held, and the
 attraction and give-back run over the stored edges with the lengths of
 ``spectra.edge_sq_lengths``. Every attraction log is the closed-form
 ``log_phi``, finite at any distance for both kernel families, so for the
@@ -42,7 +42,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .fuzzy import SimilarityGraph
 from .kernels import KernelParams, log_phi, one_minus_phi
-from .knn import block_sq_dists, row_blocks
+from .knn import row_block_buffers
 from .spectra import edge_sq_lengths, laplacian_quadratic
 
 # Floor under 1 - phi in the repulsion logs, which are -inf at coincident
@@ -57,22 +57,38 @@ def repel_logs(s: np.ndarray, p: KernelParams) -> np.ndarray:
     return np.log(q, out=q)
 
 
+def block_sq_dists(
+    cols: list[np.ndarray], start: int, stop: int, out: np.ndarray, work: np.ndarray
+) -> np.ndarray:
+    """Squared distances from rows [start, stop) to every point, written to
+    ``out`` and summed in coordinate order with in-place subtract, square
+    and add; ``work`` is a spare array of the same (stop - start, n) shape.
+
+    ``cols`` holds one contiguous array per coordinate. Entry (i, j) equals
+    entry (j, i) bit for bit, since (y_j - y_i)^2 == (y_i - y_j)^2 exactly."""
+    out.fill(0.0)
+    for col in cols:
+        np.subtract(col[None, :], col[start:stop, None], out=work)
+        np.multiply(work, work, out=work)
+        np.add(out, work, out=out)
+    return out
+
+
 def repel_row_sums(Y: np.ndarray, p: KernelParams) -> np.ndarray:
     """r_i = -sum_{j != i} log(max(1 - phi(s_ij), LOG_CLAMP)) for every row i.
 
-    Evaluated one ``row_blocks`` block at a time; each row is summed whole,
-    so the result does not depend on the block size.
+    Evaluated one ``row_block_buffers`` block at a time; each row is summed
+    whole, so the result does not depend on the block size.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     n = Y.shape[0]
     cols = [np.ascontiguousarray(c) for c in Y.T]
     rows = np.empty(n)
-    for start, stop in row_blocks(n):
-        log_q = repel_logs(block_sq_dists(cols, start, stop), p)
+    for start, stop, d2, work in row_block_buffers(n, 2):
+        log_q = repel_logs(block_sq_dists(cols, start, stop, d2, work), p)
         own = np.arange(stop - start)
         log_q[own, start + own] = 0.0
         rows[start:stop] = -log_q.sum(axis=1)
-        del log_q  # free this block before the next one is allocated
     return rows
 
 
@@ -203,25 +219,50 @@ def step_losses(
     in row s of the (events, n_neg) array ``negs``. Its loss is the
     closed-form -log phi of the pair, then minus each negative's clamped
     ``repel_logs`` in draw order; a negative equal to its own anchor is
-    skipped (a pair with itself has no repulsion direction). Squared
-    distances accumulate one coordinate at a time, as in
-    ``knn.block_sq_dists``, and the negatives are taken one column at a
-    time, so no (events, n_neg, dim) array is held.
+    skipped (a pair with itself has no repulsion direction). The
+    coordinates are gathered here, one negative column and one coordinate at
+    a time; ``event_losses`` does the arithmetic.
     """
     cols = np.asarray(Y, dtype=np.float64).T
 
-    def sq_dists(others: np.ndarray) -> np.ndarray:
-        s = np.zeros(len(anchors))
-        for col in cols:
-            diff = col[anchors]
-            diff -= col[others]
-            diff *= diff
-            s += diff
+    def coord_diff(col: np.ndarray, others: np.ndarray) -> np.ndarray:
+        d = col[anchors]
+        d -= col[others]
+        return d
+
+    def diff(others: np.ndarray):
+        # a generator expression keeps no coordinate alive between steps, so
+        # one (events,) array of one difference exists at a time
+        return (coord_diff(col, others) for col in cols)
+
+    live = (c != anchors for c in negs.T)
+    return event_losses(map(diff, (partners, *negs.T)), live, p)
+
+
+def event_losses(diffs, live, p: KernelParams) -> np.ndarray:
+    """``step_losses`` from the events' coordinate differences. ``diffs``
+    yields one difference per event column, the partners' and then each
+    negative column's in draw order; each difference is an iterable of
+    per-coordinate (events,) arrays, the anchors' coordinate less the other
+    row's. ``live`` yields one (events,) mask per negative column, true
+    where the negative is not the event's own anchor.
+
+    Each coordinate array is squared in place, overwriting the caller's
+    array, and added in coordinate order, as in ``block_sq_dists``.
+    """
+
+    def sq_norms(diff) -> np.ndarray:
+        s = 0.0  # the first addition makes it an array
+        for d in diff:
+            d *= d
+            s += d
         return s
 
-    losses = -log_phi(sq_dists(partners), p)
-    for c in negs.T:
-        log_q = repel_logs(sq_dists(c), p)
-        log_q[c == anchors] = 0.0
+    sq = map(sq_norms, diffs)
+    losses = -log_phi(next(sq), p)
+    for mask in live:
+        log_q = repel_logs(next(sq), p)
+        log_q[~mask] = 0.0
         losses -= log_q
+        del log_q  # before the next difference is made
     return losses

@@ -19,7 +19,9 @@ bit-identical to running the samples one at a time.
 The trace follows one rule at every n. Each epoch records the mean and
 standard error of its samples' step losses (``losses.step_losses``), each
 taken at the rows the sample read, i.e. along the trajectory and not at the
-epoch's end: the estimator whose expectation claim eq13 certifies. The full
+epoch's end: the estimator whose expectation claim eq13 certifies. Each
+wave computes them from the rows it gathers for its own update, through
+``losses.event_losses``, the arithmetic ``step_losses`` shares. The full
 O(n^2) ``cross_entropy_loss`` runs only on the starting layout and the final
 one.
 """
@@ -29,6 +31,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from typing import Literal
 
 import numpy as np
@@ -36,7 +39,7 @@ import numpy as np
 from .errors import ConfigurationError, OptimizationError
 from .fuzzy import SimilarityGraph
 from .kernels import KernelParams, grad_log_one_minus_phi_rows, grad_log_phi_rows
-from .losses import LossReport, cross_entropy_loss, step_losses
+from .losses import LossReport, cross_entropy_loss, event_losses
 from .spectra import SpectralSolution, spectral_init
 
 # spectral starting coordinates are rescaled to this max-abs
@@ -124,21 +127,24 @@ def _build_alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigurationError("weights must be nonnegative with positive sum")
     m = w.size
     scaled = w * (m / w.sum())
-    prob = np.ones(m)
-    alias = np.arange(m)
-    small = [i for i in range(m) if scaled[i] < 1.0]
-    large = [i for i in range(m) if scaled[i] >= 1.0]
+    small = np.flatnonzero(scaled < 1.0).tolist()
+    large = np.flatnonzero(scaled >= 1.0).tolist()
+    # Python floats round like numpy's float64 scalars and index far faster
+    scaled = scaled.tolist()
+    prob = [1.0] * m
+    alias = list(range(m))
     while small and large:
         s = small.pop()
         g = large.pop()
         prob[s] = scaled[s]
         alias[s] = g
-        scaled[g] = (scaled[g] + scaled[s]) - 1.0
-        if scaled[g] < 1.0:
+        left = (scaled[g] + scaled[s]) - 1.0
+        scaled[g] = left
+        if left < 1.0:
             small.append(g)
         else:
             large.append(g)
-    return prob, alias
+    return np.array(prob), np.array(alias)
 
 
 def sample_negatives(n: int, n_neg: int, rng: np.random.Generator) -> np.ndarray:
@@ -265,14 +271,21 @@ def _run_wave(
     alpha: float,
     p: KernelParams,
     cfg: OptimizerConfig,
-) -> int:
+) -> tuple[np.ndarray, int]:
     """Apply one wave of samples to Y in place, each exactly as the sequential
-    sweep would; returns the number of gradient coordinates ``clip`` cut.
+    sweep would; returns each sample's step loss at the rows it read (see
+    ``losses.step_losses``) and the number of gradient coordinates ``clip``
+    cut.
 
     ``live`` masks the negatives that are not the sample's own anchor.
     """
     ya, yb, yc = Y[a], Y[b], Y[negs]
-    g = grad_log_phi_rows(ya - yb, p)
+    pair_diff = ya - yb
+    g = grad_log_phi_rows(pair_diff, p)
+    # the losses at the rows as read, before ya moves; pair_diff is consumed
+    losses = event_losses(
+        chain([pair_diff.T], ((ya - yc[:, j]).T for j in range(negs.shape[1]))), live.T, p
+    )
     cut = int(np.count_nonzero(np.abs(g) > cfg.clip))
     g = np.clip(g, -cfg.clip, cfg.clip)
     ya += alpha * g
@@ -291,7 +304,7 @@ def _run_wave(
     Y[a] = ya
     if cfg.move_other:
         Y[b] = yb
-    return cut
+    return losses, cut
 
 
 def optimize(
@@ -351,13 +364,10 @@ def optimize(
         cut = 0
         lo = 0
         for hi in ends:
-            # each sample's loss at the rows it reads, before the wave writes
-            losses[order[lo:hi]] = step_losses(
-                Y, anchors[lo:hi], partners[lo:hi], negs[lo:hi], p
-            )
-            cut += _run_wave(
+            losses[order[lo:hi]], wave_cut = _run_wave(
                 Y, anchors[lo:hi], partners[lo:hi], negs[lo:hi], live[lo:hi], alpha, p, cfg
             )
+            cut += wave_cut
             lo = hi
 
         if not np.all(np.isfinite(Y)):

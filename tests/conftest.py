@@ -70,7 +70,7 @@ def stochastic_step_loss(a, b, negs, Y, p):
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
 
     def sq_dist(i, j):
-        # same coordinate-at-a-time accumulation as knn.block_sq_dists, which
+        # same coordinate-at-a-time accumulation as losses.block_sq_dists, which
         # squares by multiplication: x ** 2 goes through pow, which can
         # differ from x * x in the last bit
         s = 0.0

@@ -73,6 +73,23 @@ class TestEmbed:
         )
         assert len(circles) == 60
 
+    def test_run_json_explains_graph_stage(self, tmp_path):
+        data = tmp_path / "blobs.csv"
+        assert run_cli("gen-data", "--gen", "blobs", "--n", 80, "--data-dim", 3,
+                       "--out", data) == 0
+        out = tmp_path / "run"
+        assert run_cli("embed", "--input", data, "--has-labels", "--k", 9,
+                       "--epochs", 2, "--out-dir", out) == 0
+        report = json.loads((out / "run.json").read_text())
+        knn = sm.knn_search(sm.load_csv(data, has_labels=True).data, 9)
+        params = sm.smooth_knn_params(knn)
+        assert report["knn"] == {"exact_evals": knn.exact_evals}
+        assert 80 * 9 <= knn.exact_evals < 80 * 79
+        assert report["calibration"] == {
+            "flagged_rows": int(params.flagged.sum()),
+            "max_residual": float(params.residual.max()),
+        }
+
     def test_random_init_runs_identical(self, tmp_path):
         out = tmp_path / "run"
         args = (

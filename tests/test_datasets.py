@@ -118,6 +118,50 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match="integer"):
             sm.load_csv(f, has_labels=True)
 
+    NOT_A_NUMBER = "row 3, column 2: not a number"
+    NOT_AN_INTEGER = "row 3, column 3: label must be an integer"
+
+    @pytest.mark.parametrize("token,column,outcome", [
+        (" 1e3 ", "x1", 1000.0),
+        (" 1e3 ", "label", 1000),
+        ("1_0", "x1", 10.0),
+        ("1_0", "label", 10),
+        ("\x1c7\x1c", "x1", 7.0),  # float() rejects it unstripped
+        ("nan", "x1", (ConfigurationError, "finite")),
+        ("inf", "x1", (ConfigurationError, "finite")),
+        ("nan", "label", (ParseError, NOT_AN_INTEGER)),
+        ("inf", "label", (ParseError, NOT_AN_INTEGER)),
+        ("2.5", "label", (ParseError, NOT_AN_INTEGER)),
+        ("0x1", "x1", (ParseError, NOT_A_NUMBER + ": '0x1'")),
+        ("", "x1", (ParseError, NOT_A_NUMBER + ": ''")),
+        ("0x1", "label", (ParseError, NOT_A_NUMBER.replace("2", "3") + ": '0x1'")),
+    ])
+    def test_tricky_tokens(self, tmp_path, token, column, outcome):
+        # the token sits in the second data row (file row 3), under a header
+        cells = {"x0": "5", "x1": "6", "label": "1"}
+        cells[column] = token
+        f = tmp_path / "tokens.csv"
+        f.write_text("x0,x1,label\n1,2,0\n" + ",".join(cells.values()) + "\n3,4,0\n")
+        if isinstance(outcome, tuple):
+            with pytest.raises(outcome[0], match=outcome[1]):
+                sm.load_csv(f, has_labels=True)
+            return
+        ds = sm.load_csv(f, has_labels=True)
+        assert ds.data.n == 3
+        if column == "label":
+            assert ds.labels.tolist() == [0, outcome, 0]
+        else:
+            assert ds.data.points[1].tolist() == [5.0, outcome]
+
+    @pytest.mark.parametrize("token,header", [
+        ("0x1", True), ("", True), ("\x1c7\x1c", True), (" 7 ", False),
+    ])
+    def test_first_row_token_decides_header(self, tmp_path, token, header):
+        # the first row is a header when a cell fails float() unstripped
+        f = tmp_path / "first.csv"
+        f.write_text(f"1,{token}\n1,2\n3,4\n")
+        assert sm.load_csv(f).data.n == (2 if header else 3)
+
     def test_write_then_load_reproduces_coordinates(self, tmp_path):
         ds = sm.gen_blobs(20, [(0, 0, 0), (5, 5, 5)], 1.3, 11)
         f = tmp_path / "roundtrip.csv"

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import spectramap as sm
 from spectramap import knn
@@ -159,3 +160,68 @@ class TestBlockedSearch:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * knn.BLOCK_BYTES
+
+
+@st.composite
+def knn_cases(draw):
+    """Point sets that stress the screen's rounding bound: integer grids
+    (ties across the k-th boundary), duplicated points, large common
+    offsets, one far outlier and row scales from 1e-150 to 1e150."""
+    n = draw(st.integers(2, 48))
+    dim = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        pts = rng.integers(0, draw(st.integers(1, 5)), size=(n, dim)).astype(np.float64)
+    else:
+        pts = rng.standard_normal((n, dim))
+    if draw(st.booleans()):
+        pts[rng.integers(0, n, size=n // 3)] = pts[rng.integers(0, n, size=n // 3)]
+    # exponents of the offset, the outlier and the spread of row scales,
+    # all relative to a common scale that keeps every coordinate below 1e151
+    offset, outlier, spread = (draw(st.sampled_from([None, 3, 8])) for _ in range(3))
+    if offset is not None:
+        pts += 10.0**offset
+    if outlier is not None:
+        pts[draw(st.integers(0, n - 1))] *= 10.0**outlier
+    if spread is not None:
+        pts *= 10.0 ** rng.uniform(-spread, spread, size=(n, 1))
+    top = sum(e for e in (offset, outlier, spread) if e is not None)
+    pts *= 10.0 ** draw(st.integers(-150, 150 - top))
+    return pts, draw(st.integers(1, n - 1))
+
+
+def underflow_case():
+    # squared gaps near 1e-320 are subnormal: the reference's distances are
+    # off by a large relative amount, which only the absolute term covers
+    pts = np.random.default_rng(0).standard_normal((500, 3)) * 1e-160
+    return pts, 7
+
+
+class TestScreenExactness:
+    @settings(max_examples=200, deadline=None)
+    @given(knn_cases())
+    @example(underflow_case())
+    def test_matches_per_row_reference(self, case):
+        pts, k = case
+        g = sm.knn_search(sm.DataMatrix(pts), k)
+        ref_i, ref_d = per_row_knn(pts, k)
+        assert np.array_equal(g.indices, ref_i)
+        assert np.array_equal(g.distances, ref_d)
+
+    @pytest.mark.parametrize("outlier", [False, True])
+    def test_exact_evals_near_n_k(self, outlier):
+        # continuous data has almost no near-ties, so the screen's candidate
+        # set is barely larger than the k neighbors; a far outlier widens
+        # only its own row
+        n, k = 2000, 15
+        pts = np.random.default_rng(41).standard_normal((n, 10))
+        if outlier:
+            pts[17] = 1e8
+        g = sm.knn_search(sm.DataMatrix(pts), k)
+        assert n * k <= g.exact_evals <= 2 * n * k
+
+    def test_overflowing_spread_is_a_named_error(self):
+        # (max - min)^2 overflows float64 in every coordinate
+        pts = np.random.default_rng(42).standard_normal((50, 3)) * 1e160
+        with pytest.raises(ConfigurationError, match="spread"):
+            sm.knn_search(sm.DataMatrix(pts), 5)

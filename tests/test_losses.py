@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import spectramap as sm
-from spectramap import knn
+from spectramap import knn, losses
 from spectramap.equivalence import pipeline_graph
 from spectramap.errors import ConfigurationError
 from spectramap.losses import LOG_CLAMP
@@ -293,8 +293,10 @@ class TestStochasticStepLoss:
 
 
 def all_pair_sq_dists(Y):
-    """knn.block_sq_dists over one block holding every row."""
-    return knn.block_sq_dists([np.ascontiguousarray(c) for c in Y.T], 0, len(Y))
+    """losses.block_sq_dists over one block holding every row."""
+    n = len(Y)
+    cols = [np.ascontiguousarray(c) for c in Y.T]
+    return losses.block_sq_dists(cols, 0, n, np.empty((n, n)), np.empty((n, n)))
 
 
 class TestPairwiseSqDists:

@@ -13,7 +13,49 @@ from spectramap.optim import EdgeSampler, _build_alias_table, wave_schedule
 from conftest import random_similarity_graph, stochastic_step_loss
 
 
+def numpy_scalar_alias_table(weights):
+    """Vose's construction indexing numpy scalars one at a time: the loop
+    ``_build_alias_table`` must reproduce bit for bit."""
+    w = np.asarray(weights, dtype=np.float64)
+    m = w.size
+    scaled = w * (m / w.sum())
+    prob = np.ones(m)
+    alias = np.arange(m)
+    small = [i for i in range(m) if scaled[i] < 1.0]
+    large = [i for i in range(m) if scaled[i] >= 1.0]
+    while small and large:
+        s = small.pop()
+        g = large.pop()
+        prob[s] = scaled[s]
+        alias[s] = g
+        scaled[g] = (scaled[g] + scaled[s]) - 1.0
+        if scaled[g] < 1.0:
+            small.append(g)
+        else:
+            large.append(g)
+    return prob, alias
+
+
+alias_weights = st.one_of(
+    # equal weights, one dominant weight, and log-uniform ratios up to 1e12
+    st.tuples(st.integers(1, 60), st.floats(1e-6, 1e6)).map(lambda t: [t[1]] * t[0]),
+    st.tuples(st.integers(1, 60), st.floats(1.0, 1e12)).map(lambda t: [t[1]] + [1.0] * t[0]),
+    st.lists(st.floats(0.0, 12.0), min_size=1, max_size=200).map(
+        lambda e: [10.0**x for x in e]
+    ),
+)
+
+
 class TestAliasTable:
+    @settings(max_examples=200, deadline=None)
+    @given(alias_weights)
+    def test_matches_numpy_scalar_loop(self, weights):
+        prob, alias = _build_alias_table(np.array(weights))
+        ref_prob, ref_alias = numpy_scalar_alias_table(weights)
+        assert np.array_equal(prob, ref_prob)
+        assert np.array_equal(alias, ref_alias)
+        assert alias.dtype == ref_alias.dtype
+
     def test_single_edge_always_drawn(self, k2_graph):
         sampler = EdgeSampler(k2_graph)
         rng = np.random.default_rng(0)
