@@ -66,7 +66,6 @@ from .optim import (
     OptimizerConfig,
     init_embedding,
     optimize,
-    sample_negatives,
 )
 from .spectra import (
     LaplacianPair,

@@ -130,7 +130,11 @@ def _make_dataset(args) -> LabeledDataset:
     if args.gen == "moons":
         return gen_two_moons(args.n, args.noise, args.seed)
     if args.gen == "blobs":
-        per = max(1, args.n // args.clusters)
+        if args.clusters < 1 or args.data_dim < 1:
+            raise ConfigurationError("--clusters and --data-dim must be >= 1")
+        if args.n < args.clusters:
+            raise ConfigurationError(f"--n ({args.n}) must be >= --clusters ({args.clusters})")
+        per = args.n // args.clusters
         centers = np.zeros((args.clusters, args.data_dim))
         centers[:, 0] = 10.0 * np.arange(args.clusters)
         return gen_blobs(per, centers, args.std, args.seed)

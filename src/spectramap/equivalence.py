@@ -34,7 +34,7 @@ from .losses import (
     step_losses,
     taylor_error_bound,
 )
-from .optim import SPECTRAL_MAX_ABS, EdgeSampler, sample_negatives
+from .optim import SPECTRAL_MAX_ABS, EdgeSampler
 from .spectra import (
     NULL_SPACE_TOL,
     build_laplacians,
@@ -57,7 +57,7 @@ CLAIM_IDS = (
 )
 _CLAIM_CODE = {claim: idx for idx, claim in enumerate(CLAIM_IDS)}
 # Monte Carlo draws evaluated per step_losses call in the eq13 check
-MC_SLICE = 2**16
+MC_SLICE = 2**14
 
 
 @dataclass(frozen=True)
@@ -298,18 +298,17 @@ def mc_step_losses(
 ) -> np.ndarray:
     """Draws of the per-event loss under the real sampling scheme.
 
-    The sampler's stream draws the ordered pairs, then the negatives;
-    ``losses.step_losses`` evaluates every draw at Y, the same routine the
+    ``EdgeSampler.draw_events`` draws the events as the optimizer does, and
+    ``losses.step_losses`` evaluates every draw at Y, the same arithmetic the
     optimizer traces each epoch with. Each draw's loss depends on that draw
     alone, so they are evaluated ``MC_SLICE`` draws at a time into one
     output array, keeping the evaluation's temporaries small.
     """
-    pairs = EdgeSampler(V).sample_ordered_pairs(rng, n_draws)
-    negs = sample_negatives(V.n, n_draws * n_neg, rng).reshape(n_draws, n_neg)
+    anchors, partners, negs = EdgeSampler(V).draw_events(rng, n_draws, n_neg)
     losses = np.empty(n_draws)
     for lo in range(0, n_draws, MC_SLICE):
         s = slice(lo, lo + MC_SLICE)
-        losses[s] = step_losses(Y, pairs[s, 0], pairs[s, 1], negs[s], p)
+        losses[s] = step_losses(Y, anchors[s], partners[s], negs[s], p)
     return losses
 
 

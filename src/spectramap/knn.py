@@ -6,7 +6,8 @@ coordinate order, and ranks each row by (delta, index): equal distances
 resolve to the smaller index. Duplicate points (zero distance) are legitimate
 neighbors and are kept; only the query point itself is excluded.
 ``knn_search`` returns that ranking and those distances bit for bit, through
-one code path at every dimension D.
+one code path at every dimension D. ``sq_norms`` and ``block_sq_dists``
+hold this arithmetic for the whole package.
 
 Overflow rule. Rounding is monotone, so every delta_ij is at most the same
 coordinate-order sum of (max_t - min_t)^2. ``knn_search`` computes that sum
@@ -64,13 +65,12 @@ which widens only its own pairs, and their screen values lie far above
 every other row's threshold. (sigma^2 eta is capped at 2^64, which already
 makes every pair a candidate.)
 
-Re-rank. The candidates are evaluated again with the reference's
-coordinate-order arithmetic on the original points and ordered by (delta,
-index) within each row; the first k of each row are the result. Every j
-outside the candidates is strictly farther than the reference's k-th
-neighbor, so this is the reference's output, ties across the k-th boundary
-included. ``KnnGraph.exact_evals`` counts the pairs re-ranked; its ratio to
-n k shows how tight the screen was.
+Re-rank. ``sq_norms`` evaluates the candidates again on the original points
+and they are ordered by (delta, index) within each row; the first k of each
+row are the result. Every j outside the candidates is strictly farther than
+the reference's k-th neighbor, so this is the reference's output, ties
+across the k-th boundary included. ``KnnGraph.exact_evals`` counts the pairs
+re-ranked; its ratio to n k shows how tight the screen was.
 
 Memory: one row block's float64 screen (about ``BLOCK_BYTES``), its boolean
 candidate mask, and the k-th-value selection on copies of an eighth of a
@@ -130,13 +130,39 @@ def row_block_buffers(n: int, count: int):
         yield (start, stop, *(b[: (stop - start) * n].reshape(-1, n) for b in bufs))
 
 
+def sq_norms(diff: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of the (m, d) float64 array ``diff``, with
+    the reference's arithmetic: ``diff`` is squared in place (its values are
+    consumed) and the columns are added in coordinate order."""
+    diff *= diff
+    s = diff[:, 0].copy()
+    for t in range(1, diff.shape[1]):
+        s += diff[:, t]
+    return s
+
+
+def block_sq_dists(
+    cols: list[np.ndarray], start: int, stop: int, out: np.ndarray, work: np.ndarray
+) -> np.ndarray:
+    """Squared distances from rows [start, stop) to every point, written to
+    ``out`` and summed in coordinate order with in-place subtract, square
+    and add; ``work`` is a spare array of the same (stop - start, n) shape.
+
+    ``cols`` holds one contiguous array per coordinate. Entry (i, j) equals
+    entry (j, i) bit for bit, since (y_j - y_i)^2 == (y_i - y_j)^2 exactly."""
+    out.fill(0.0)
+    for col in cols:
+        np.subtract(col[None, :], col[start:stop, None], out=work)
+        np.multiply(work, work, out=work)
+        np.add(out, work, out=out)
+    return out
+
+
 def _check_spread(points: np.ndarray) -> None:
     """Raise when sum_t (max_t - min_t)^2, summed in coordinate order, is not
     finite in float64: it bounds every pairwise squared distance."""
-    spread = 0.0
-    for lo, hi in zip(points.min(axis=0).tolist(), points.max(axis=0).tolist()):
-        r = hi - lo
-        spread += r * r
+    with np.errstate(over="ignore"):
+        spread = sq_norms((points.max(axis=0) - points.min(axis=0))[None, :])[0]
     if not math.isfinite(spread):
         raise ConfigurationError(
             "coordinate spread overflows float64: the sum over axes of "
@@ -199,12 +225,10 @@ def knn_search(X: DataMatrix, k: int) -> KnnGraph:
         A -= lower
         rows, cols = np.divmod(np.flatnonzero(A <= thr[:, None]), n)
 
-        # re-rank the candidates with the reference's arithmetic: cumsum
-        # adds the squared coordinate gaps strictly in coordinate order
+        # re-rank the candidates with the reference's arithmetic
         diff = P[cols]
         diff -= P[rows + start]
-        diff *= diff
-        d2 = np.cumsum(diff, axis=1, out=diff)[:, -1]
+        d2 = sq_norms(diff)
         order = np.lexsort((cols, d2, rows))
         counts = np.bincount(rows, minlength=m)
         first = np.cumsum(counts) - counts

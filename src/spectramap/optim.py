@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from itertools import chain
 from typing import Literal
 
 import numpy as np
@@ -101,6 +100,7 @@ class EdgeSampler:
         i, j, w = V.edges()
         if i.size == 0:
             raise ConfigurationError("cannot sample from a graph with no edges")
+        self.n = V.n
         self.endpoints = np.column_stack([i, j])
         self.weights = w
         self.prob, self.alias = _build_alias_table(w)
@@ -118,6 +118,14 @@ class EdgeSampler:
         flip = rng.integers(0, 2, size=size).astype(bool)
         pairs = self.endpoints[idx]
         return np.where(flip[:, None], pairs[:, ::-1], pairs)
+
+    def draw_events(self, rng: np.random.Generator, size: int, n_neg: int) -> tuple:
+        """``size`` negative-sampling events: (anchors, partners, negs), the
+        ordered pairs drawn first and then the (size, n_neg) uniform negative
+        vertices, in that stream order; a negative may be its own anchor."""
+        pairs = self.sample_ordered_pairs(rng, size)
+        negs = rng.integers(0, self.n, size * n_neg).reshape(size, n_neg)
+        return pairs[:, 0], pairs[:, 1], negs
 
 
 def _build_alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -147,15 +155,12 @@ def _build_alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(prob), np.array(alias)
 
 
-def sample_negatives(n: int, n_neg: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform vertex draws in [0, n); collisions with anchors are allowed."""
-    return rng.integers(0, n, size=n_neg)
-
-
 def init_embedding(
     V: SimilarityGraph, d: int, mode: Literal["spectral", "random"], seed: int
 ) -> Embedding:
     """Starting coordinates: spectral layout rescaled to max-abs 10, or uniform."""
+    if d < 1:
+        raise ConfigurationError("d must be >= 1")
     if mode == "random":
         rng = np.random.default_rng(seed)
         return Embedding(rng.uniform(-10.0, 10.0, size=(V.n, d)), "random")
@@ -279,13 +284,11 @@ def _run_wave(
 
     ``live`` masks the negatives that are not the sample's own anchor.
     """
-    ya, yb, yc = Y[a], Y[b], Y[negs]
-    pair_diff = ya - yb
-    g = grad_log_phi_rows(pair_diff, p)
-    # the losses at the rows as read, before ya moves; pair_diff is consumed
-    losses = event_losses(
-        chain([pair_diff.T], ((ya - yc[:, j]).T for j in range(negs.shape[1]))), live.T, p
-    )
+    # take gathers rows several times faster than fancy indexing Y[a]
+    ya, yb, yc = Y.take(a, axis=0), Y.take(b, axis=0), Y.take(negs, axis=0)
+    # the losses at the rows as read, before ya moves
+    losses = event_losses(ya, yb, (yc[:, j] for j in range(negs.shape[1])), live, p)
+    g = grad_log_phi_rows(ya - yb, p)
     cut = int(np.count_nonzero(np.abs(g) > cfg.clip))
     g = np.clip(g, -cfg.clip, cfg.clip)
     ya += alpha * g
@@ -317,9 +320,10 @@ def optimize(
     """Run negative-sampling SGD and return the trajectory end plus a loss trace.
 
     Deterministic for a fixed config: a single PCG64 stream drives edge
-    choice, orientation, and negatives, drawn in one block per epoch. The
-    epoch's samples then run in waves (see the module docstring); each trace
-    entry after the first carries that epoch's ``EpochStats`` and wall time.
+    choice, orientation, and negatives, drawn by ``EdgeSampler.draw_events``
+    in one block per epoch, as the eq13 claim draws them. The epoch's
+    samples then run in waves (see the module docstring); each trace entry
+    after the first carries that epoch's ``EpochStats`` and wall time.
     ``track_loss`` adds the full cross-entropy to the first and final entry.
     """
     if Y0.n != V.n:
@@ -346,11 +350,7 @@ def optimize(
     for epoch in range(cfg.n_epochs):
         started = time.perf_counter()
         alpha = cfg.initial_lr * (1.0 - epoch / cfg.n_epochs)
-        pairs = sampler.sample_ordered_pairs(rng, n_samples)
-        negs = sample_negatives(n, n_samples * cfg.n_neg, rng).reshape(
-            n_samples, cfg.n_neg
-        )
-        anchors, partners = pairs[:, 0], pairs[:, 1]
+        anchors, partners, negs = sampler.draw_events(rng, n_samples, cfg.n_neg)
         live = negs != anchors[:, None]
         n_live = int(np.count_nonzero(live))
 

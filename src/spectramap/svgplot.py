@@ -30,6 +30,8 @@ def svg_scatter(
 ) -> None:
     """Write a 2-d scatter as standalone SVG, one circle per point."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))[:, :2]
+    # a 1-d layout is drawn along the x axis, at y = 0
+    pts = np.pad(pts, ((0, 0), (0, 2 - pts.shape[1])))
     n = pts.shape[0]
     if labels is None:
         labels = np.zeros(n, dtype=np.int64)

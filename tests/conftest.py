@@ -62,7 +62,8 @@ def negated_laplacian_quadratic(V, Z):
 
 def stochastic_step_loss(a, b, negs, Y, p):
     """One negative-sampling event's loss, one scalar at a time: the oracle
-    that ``losses.step_losses`` must match bit for bit.
+    that ``losses.step_losses`` (and through it ``losses.event_losses``, which
+    the optimizer's trace uses) must match bit for bit.
 
     Positive pair (a, b) with the closed-form log phi, then each negative's
     clamped log(1 - phi) in draw order; draws equal to the anchor are skipped.
@@ -70,7 +71,7 @@ def stochastic_step_loss(a, b, negs, Y, p):
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
 
     def sq_dist(i, j):
-        # same coordinate-at-a-time accumulation as losses.block_sq_dists, which
+        # same coordinate-at-a-time accumulation as knn.sq_norms, which
         # squares by multiplication: x ** 2 goes through pow, which can
         # differ from x * x in the last bit
         s = 0.0

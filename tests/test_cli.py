@@ -29,7 +29,14 @@ class TestGenData:
         ds = sm.load_csv(out, has_labels=True)
         assert ds.data.n == 30
 
-    @pytest.mark.parametrize("flags", [("--gen", "blobs", "--std", -1), ()])
+    @pytest.mark.parametrize("flags", [
+        ("--gen", "blobs", "--std", -1),
+        (),
+        ("--gen", "blobs", "--clusters", 0),
+        ("--gen", "blobs", "--data-dim", 0),
+        ("--gen", "blobs", "--n", 3, "--clusters", 4),
+        ("--gen", "blobs", "--n", -5),
+    ])
     def test_bad_source_is_a_named_error(self, tmp_path, capsys, flags):
         out = tmp_path / "data.csv"
         assert run_cli("gen-data", *flags, "--out", out) == 2
@@ -72,6 +79,16 @@ class TestEmbed:
             ".//{http://www.w3.org/2000/svg}circle"
         )
         assert len(circles) == 60
+
+    def test_one_dimensional_layout(self, tmp_path):
+        code, out = self._embed(tmp_path, "--dim", 1)
+        assert code == 0
+        assert json.loads((out / "run.json").read_text())["n"] == 60
+        circles = ET.parse(out / "scatter.svg").getroot().findall(
+            ".//{http://www.w3.org/2000/svg}circle"
+        )
+        # drawn along the x axis: every point at y = 0, the frame's bottom edge
+        assert {c.get("cy") for c in circles} == {"440.00"}
 
     def test_run_json_explains_graph_stage(self, tmp_path):
         data = tmp_path / "blobs.csv"

@@ -125,7 +125,7 @@ class TestExpectedLossMonteCarlo:
         p = sm.KernelParams.cauchy()
         rng = np.random.default_rng(6)
         pairs = eq.EdgeSampler(V).sample_ordered_pairs(rng, 50)
-        negs = eq.sample_negatives(V.n, 50 * 3, rng).reshape(50, 3)
+        negs = rng.integers(0, V.n, 50 * 3).reshape(50, 3)
         whole = eq.step_losses(Y, pairs[:, 0], pairs[:, 1], negs, p)
         monkeypatch.setattr(eq, "MC_SLICE", 7)
         sliced = eq.mc_step_losses(V, Y, p, 3, 50, np.random.default_rng(6))
@@ -157,9 +157,7 @@ class TestExpectedLossMonteCarlo:
         sampler = sm.EdgeSampler(V)
         rng2 = np.random.default_rng(77)
         pairs = sampler.sample_ordered_pairs(rng2, n_draws)
-        negs = sm.sample_negatives(V.n, n_draws * n_neg, rng2).reshape(
-            n_draws, n_neg
-        )
+        negs = rng2.integers(0, V.n, n_draws * n_neg).reshape(n_draws, n_neg)
         scalar = np.array(
             [
                 stochastic_step_loss(pairs[s, 0], pairs[s, 1], negs[s], Y, p)

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spectramap as sm
 from spectramap import knn, losses
@@ -291,12 +292,43 @@ class TestStochasticStepLoss:
         without = event_loss(0, 1, [1], Y, p)
         assert with_self == without
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        d=st.integers(1, 5),
+        events=st.integers(1, 40),
+        n_neg=st.integers(0, 4),
+        p=st.one_of(
+            st.builds(sm.KernelParams.cauchy, a=st.floats(0.5, 2.5),
+                      b=st.sampled_from([0.79, 1.0, 1.3])),
+            st.builds(sm.KernelParams.gaussian, tau=st.floats(0.3, 2.0)),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_match_scalar_oracle(self, n, d, events, n_neg, p, seed):
+        """Bit for bit at every d, self-draws included. A squared norm summed
+        in another order than the coordinates' (einsum, vecdot) differs from
+        the oracle in the last bit at d >= 3."""
+        rng = np.random.default_rng(seed)
+        # coordinates of mixed magnitudes make the summation order show
+        Y = rng.uniform(-3.0, 3.0, size=(n, d)) * 10.0 ** rng.integers(-2, 3, size=(n, d))
+        anchors = rng.integers(0, n, events)
+        partners = rng.integers(0, n, events)
+        negs = rng.integers(0, n, (events, n_neg))
+        negs[0, : n_neg // 2 + 1] = anchors[0]  # self-draws in the first event
+        got = sm.step_losses(Y, anchors, partners, negs, p)
+        expected = [
+            stochastic_step_loss(anchors[s], partners[s], negs[s], Y, p)
+            for s in range(events)
+        ]
+        assert got.tolist() == expected
+
 
 def all_pair_sq_dists(Y):
-    """losses.block_sq_dists over one block holding every row."""
+    """knn.block_sq_dists over one block holding every row."""
     n = len(Y)
     cols = [np.ascontiguousarray(c) for c in Y.T]
-    return losses.block_sq_dists(cols, 0, n, np.empty((n, n)), np.empty((n, n)))
+    return knn.block_sq_dists(cols, 0, n, np.empty((n, n)), np.empty((n, n)))
 
 
 class TestPairwiseSqDists:

@@ -98,11 +98,21 @@ class TestAliasTable:
 
 
 class TestNegativeSampling:
-    def test_uniform_frequencies(self):
-        rng = np.random.default_rng(5)
-        draws = sm.sample_negatives(4, 1_000_000, rng)
-        freq = np.bincount(draws, minlength=4) / draws.size
+    def test_uniform_frequencies(self, two_cliques_graph):
+        sampler = EdgeSampler(two_cliques_graph)
+        _, _, negs = sampler.draw_events(np.random.default_rng(5), 200_000, 5)
+        freq = np.bincount(negs.ravel(), minlength=4) / negs.size
         assert np.all(np.abs(freq - 0.25) < 0.01 * 0.25 + 0.005)
+
+    def test_draw_events_stream_order(self, two_blob_graph):
+        # one stream: the ordered pairs first, then the negatives row by row
+        sampler = EdgeSampler(two_blob_graph)
+        anchors, partners, negs = sampler.draw_events(np.random.default_rng(6), 500, 3)
+        rng = np.random.default_rng(6)
+        pairs = sampler.sample_ordered_pairs(rng, 500)
+        assert np.array_equal(anchors, pairs[:, 0])
+        assert np.array_equal(partners, pairs[:, 1])
+        assert np.array_equal(negs, rng.integers(0, two_blob_graph.n, 1500).reshape(500, 3))
 
 
 class TestInitEmbedding:
@@ -123,6 +133,12 @@ class TestInitEmbedding:
     def test_unknown_mode_rejected(self, p3_graph):
         with pytest.raises(ConfigurationError):
             sm.init_embedding(p3_graph, 1, "pca", 0)
+
+    @pytest.mark.parametrize("mode", ["random", "spectral"])
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_dimension_below_one_rejected(self, p3_graph, mode, d):
+        with pytest.raises(ConfigurationError, match="d must be >= 1"):
+            sm.init_embedding(p3_graph, d, mode, 0)
 
 
 def small_config(**kw):
@@ -256,9 +272,7 @@ class TestExpectationLink:
         sampler = EdgeSampler(V)
         n_samples = 20_000
         pairs = sampler.sample_ordered_pairs(rng, n_samples)
-        negs = sm.sample_negatives(V.n, n_samples * n_neg, rng).reshape(
-            n_samples, n_neg
-        )
+        negs = rng.integers(0, V.n, n_samples * n_neg).reshape(n_samples, n_neg)
         losses = np.array(
             [
                 stochastic_step_loss(pairs[s, 0], pairs[s, 1], negs[s], Y, p)
@@ -309,7 +323,7 @@ def sequential_reference(V, Y0, p, cfg):
     for epoch in range(cfg.n_epochs):
         alpha = cfg.initial_lr * (1.0 - epoch / cfg.n_epochs)
         pairs = sampler.sample_ordered_pairs(rng, n_samples)
-        negs = sm.sample_negatives(n, n_samples * cfg.n_neg, rng).reshape(
+        negs = rng.integers(0, n, n_samples * cfg.n_neg).reshape(
             n_samples, cfg.n_neg
         ) if cfg.n_neg else np.empty((n_samples, 0), dtype=np.int64)
         cut = coords = 0
