@@ -42,8 +42,6 @@ from .kernels import (
     KernelParams,
     MinDistFit,
     fit_ab,
-    grad_log_one_minus_phi,
-    grad_log_phi,
     log_one_minus_phi,
     log_phi,
     one_minus_phi,
@@ -64,8 +62,9 @@ from .optim import (
     Embedding,
     OptimizeResult,
     OptimizerConfig,
-    init_embedding,
     optimize,
+    random_embedding,
+    spectral_embedding,
 )
 from .spectra import (
     LaplacianPair,

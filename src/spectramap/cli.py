@@ -15,13 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from . import equivalence
-from .datasets import LabeledDataset, gen_blobs, gen_two_moons, load_csv, save_csv
+from .datasets import DataMatrix, LabeledDataset, gen_blobs, gen_two_moons, load_csv, save_csv
 from .errors import ConfigurationError, KernelFitError, ParseError
 from .fuzzy import directed_weights, smooth_knn_params, symmetrize
 from .kernels import KernelParams, fit_ab
 from .knn import knn_search
-from .optim import OptimizerConfig, init_embedding, optimize, spectral_embedding
-from .spectra import count_components, spectral_init
+from .optim import OptimizerConfig, optimize, random_embedding, spectral_embedding
+from .spectra import spectral_init
 from .svgplot import svg_scatter
 
 
@@ -132,8 +132,10 @@ def _make_dataset(args) -> LabeledDataset:
     if args.gen == "blobs":
         if args.clusters < 1 or args.data_dim < 1:
             raise ConfigurationError("--clusters and --data-dim must be >= 1")
-        if args.n < args.clusters:
-            raise ConfigurationError(f"--n ({args.n}) must be >= --clusters ({args.clusters})")
+        if args.n < args.clusters or args.n % args.clusters:
+            raise ConfigurationError(
+                f"--n ({args.n}) must be a positive multiple of --clusters ({args.clusters})"
+            )
         per = args.n // args.clusters
         centers = np.zeros((args.clusters, args.data_dim))
         centers[:, 0] = 10.0 * np.arange(args.clusters)
@@ -153,7 +155,7 @@ def cmd_gen_data(args) -> int:
     except (ConfigurationError, ParseError, OSError) as exc:
         print(f"error [datasets]: {exc}", file=sys.stderr)
         return 2
-    save_csv(ds, args.out, with_labels=True)
+    save_csv(ds, args.out)
     print(f"wrote {ds.data.n} points x {ds.data.dim} dims to {args.out}")
     return 0
 
@@ -212,20 +214,15 @@ def cmd_embed(args) -> int:
             sol = spectral_init(V, args.dim)
             Y0 = spectral_embedding(sol)
         else:
-            Y0 = init_embedding(V, args.dim, args.init, args.seed)
+            Y0 = random_embedding(V.n, args.dim, args.seed)
         result = optimize(V, Y0, kernel, cfg)
     except Exception as exc:
         print(f"error [optimizer, init={args.init}]: {exc}", file=sys.stderr)
         return 2
 
-    emb_path = out_dir / "embedding.csv"
     coords = result.embedding.coords
-    with emb_path.open("w") as fh:
-        header = [f"y{i}" for i in range(coords.shape[1])] + ["label"]
-        fh.write(",".join(header) + "\n")
-        for row, lab in zip(coords, ds.labels):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{int(lab)}\n")
-
+    save_csv(LabeledDataset(DataMatrix(coords), ds.labels), out_dir / "embedding.csv",
+             prefix="y")
     result.write_trace_jsonl(out_dir / "trace.jsonl")
     # wall times differ run to run, so they stay out of the reproducible outputs
     epoch_wall_s = [rec.wall_s for rec in result.trace[1:]]
@@ -241,7 +238,7 @@ def cmd_embed(args) -> int:
                    "tau": kernel.tau, **fit_info},
         "n": ds.data.n,
         "graph_nnz": V.nnz,
-        "graph": {"components": count_components(V),
+        "graph": {"components": V.components[0],
                   "degree_min": float(deg.min()), "degree_max": float(deg.max())},
         "knn": {"exact_evals": knn.exact_evals},
         "calibration": {"flagged_rows": int(calibration.flagged.sum()),
@@ -315,7 +312,13 @@ def main(argv: list[str] | None = None) -> int:
         except ConfigurationError as exc:
             print(f"error [config]: {exc}", file=sys.stderr)
             return 2
-    return COMMANDS[args.command](args)
+    try:
+        return COMMANDS[args.command](args)
+    except OSError as exc:
+        # every input is read inside a command's own error handling, so an
+        # OSError that reaches here came from writing an output
+        print(f"error [output]: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

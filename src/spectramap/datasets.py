@@ -59,7 +59,7 @@ def gen_blobs(n_per_cluster: int, centers, std: float, seed: int) -> LabeledData
     """Isotropic Gaussian clusters, ``n_per_cluster`` samples around each center."""
     if n_per_cluster < 1:
         raise ConfigurationError("n_per_cluster must be >= 1")
-    if std <= 0:
+    if not std > 0:  # NaN fails too
         raise ConfigurationError("std must be positive")
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
     if centers.size == 0:
@@ -83,7 +83,7 @@ def gen_two_moons(n: int, noise: float, seed: int) -> LabeledDataset:
     """
     if n < 2:
         raise ConfigurationError("need n >= 2")
-    if noise < 0:
+    if not noise >= 0:  # NaN fails too
         raise ConfigurationError("noise must be nonnegative")
 
     n_outer = n // 2
@@ -181,18 +181,12 @@ def load_csv(path, has_labels: bool = False) -> LabeledDataset:
     return LabeledDataset(data, label_arr)
 
 
-def save_csv(dataset: LabeledDataset, path, with_labels: bool = True) -> None:
-    """Write a dataset as CSV with a header; floats use shortest exact repr."""
-    path = Path(path)
-    dim = dataset.data.dim
-    header = [f"x{i}" for i in range(dim)]
-    if with_labels:
-        header.append("label")
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
+def save_csv(dataset: LabeledDataset, path, prefix: str = "x") -> None:
+    """Write a dataset as CSV with the header ``{prefix}0,...,label`` and
+    Unix line endings; floats use their shortest exact repr."""
+    header = [f"{prefix}{i}" for i in range(dataset.data.dim)] + ["label"]
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for i in range(dataset.data.n):
-            row = [repr(float(v)) for v in dataset.data.points[i]]
-            if with_labels:
-                row.append(str(int(dataset.labels[i])))
-            writer.writerow(row)
+        for row, lab in zip(dataset.data.points, dataset.labels):
+            writer.writerow([repr(float(v)) for v in row] + [str(int(lab))])

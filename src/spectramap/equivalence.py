@@ -38,7 +38,6 @@ from .optim import SPECTRAL_MAX_ABS, EdgeSampler
 from .spectra import (
     NULL_SPACE_TOL,
     build_laplacians,
-    count_components,
     edge_sq_lengths,
     laplacian_quadratic,
     ncut_relaxation_check,
@@ -58,6 +57,10 @@ CLAIM_IDS = (
 _CLAIM_CODE = {claim: idx for idx, claim in enumerate(CLAIM_IDS)}
 # Monte Carlo draws evaluated per step_losses call in the eq13 check
 MC_SLICE = 2**14
+# distance between the two blob centres of pipeline_graph
+BLOB_SEPARATION = 6.0
+# chance of each off-backbone edge in random_connected_graph
+EXTRA_EDGE_PROB = 0.15
 
 
 @dataclass(frozen=True)
@@ -104,14 +107,12 @@ def claim_rng(master_seed: int, claim: str) -> np.random.Generator:
     return np.random.default_rng([master_seed, _CLAIM_CODE[claim]])
 
 
-def pipeline_graph(
-    n: int, seed, k: int | None = None, separation: float = 6.0
-) -> SimilarityGraph:
+def pipeline_graph(n: int, seed, k: int | None = None) -> SimilarityGraph:
     """Fuzzy graph of a two-blob cloud built through the real pipeline."""
     if n < 3:
         raise ConfigurationError("need n >= 3")
     per = max(1, n // 2)
-    centers = [(0.0, 0.0, 0.0), (separation, 0.0, 0.0)]
+    centers = [(0.0, 0.0, 0.0), (BLOB_SEPARATION, 0.0, 0.0)]
     blob_seed = int(np.random.default_rng(seed).integers(2**31))
     ds = gen_blobs(per, centers, std=1.0, seed=blob_seed)
     if k is None:
@@ -124,21 +125,19 @@ def connected_two_blob_graph(seed=0, n_per: int = 50, k: int = 15) -> Similarity
     blob_seed = int(np.random.default_rng(seed).integers(2**31))
     ds = gen_blobs(n_per, [(0.0, 0.0), (4.0, 0.0)], std=1.0, seed=blob_seed)
     V = build_similarity_graph(ds.data, k)
-    if count_components(V) != 1:
+    if V.components[0] != 1:
         raise GraphStructureError("expected the overlapping blobs to be connected")
     return V
 
 
-def random_connected_graph(
-    n: int, rng: np.random.Generator, extra_edge_prob: float = 0.15
-) -> SimilarityGraph:
+def random_connected_graph(n: int, rng: np.random.Generator) -> SimilarityGraph:
     """Random weighted graph with a permuted path backbone (hence connected)."""
     order = rng.permutation(n)
     rows = list(order[:-1])
     cols = list(order[1:])
     vals = list(rng.uniform(0.2, 1.0, size=n - 1))
     iu, ju = np.triu_indices(n, k=1)
-    extra = rng.random(iu.size) < extra_edge_prob
+    extra = rng.random(iu.size) < EXTRA_EDGE_PROB
     rows += list(iu[extra])
     cols += list(ju[extra])
     vals += list(rng.uniform(0.2, 1.0, size=int(extra.sum())))
@@ -251,7 +250,7 @@ def check_spectral_optimality(
     residual folds the eigenvalue-sum check in at a tenth of its 1e-8
     tolerance so a single 1e-9 threshold covers both.
     """
-    if count_components(V) != 1:
+    if V.components[0] != 1:
         raise GraphStructureError("spectral optimality check requires a connected graph")
     sol = spectral_init(V, d)
     pair = build_laplacians(V)

@@ -19,6 +19,7 @@ the analytic form at any eps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +44,11 @@ class KernelParams:
     def __post_init__(self):
         if self.family not in ("cauchy_ab", "gaussian"):
             raise ConfigurationError(f"unknown kernel family {self.family!r}")
-        if self.family == "cauchy_ab" and (self.a <= 0 or self.b <= 0):
-            raise ConfigurationError("cauchy_ab requires a > 0 and b > 0")
-        if self.family == "gaussian" and self.tau <= 0:
-            raise ConfigurationError("gaussian requires tau > 0")
+        # written so that NaN fails too; an infinite value makes every step non-finite
+        if self.family == "cauchy_ab" and not (0 < self.a < math.inf and 0 < self.b < math.inf):
+            raise ConfigurationError("cauchy_ab requires finite a > 0 and b > 0")
+        if self.family == "gaussian" and not 0 < self.tau < math.inf:
+            raise ConfigurationError("gaussian requires finite tau > 0")
 
     @classmethod
     def cauchy(cls, a: float = 1.0, b: float = 1.0) -> "KernelParams":
@@ -129,9 +131,7 @@ def grad_log_phi_rows(diff: np.ndarray, p: KernelParams) -> np.ndarray:
     return np.where(zero[:, None], 0.0, coef[:, None] * diff)
 
 
-def grad_log_one_minus_phi_rows(
-    diff: np.ndarray, p: KernelParams, eps: float = 1e-3
-) -> np.ndarray:
+def grad_log_one_minus_phi_rows(diff: np.ndarray, p: KernelParams, eps: float) -> np.ndarray:
     """Row-wise repulsion gradient with the 1/s factor softened to 1/(s+eps);
     diff = y_a - y_c is (m, d).
 
@@ -151,24 +151,6 @@ def grad_log_one_minus_phi_rows(
     else:
         coef = 2.0 * p.b * (1.0 / (s + eps) - p.a * s ** (p.b - 1.0) / (1.0 + p.a * s**p.b))
     return np.where(zero[:, None], 0.0, coef[:, None] * diff)
-
-
-def _diff_row(y_a, y_b) -> np.ndarray:
-    return (np.asarray(y_a, dtype=np.float64) - np.asarray(y_b, dtype=np.float64))[None, :]
-
-
-def grad_log_phi(y_a: np.ndarray, y_b: np.ndarray, p: KernelParams) -> np.ndarray:
-    """Gradient of log phi(||y_a - y_b||^2) with respect to y_a (attraction);
-    the one-row case of ``grad_log_phi_rows``."""
-    return grad_log_phi_rows(_diff_row(y_a, y_b), p)[0]
-
-
-def grad_log_one_minus_phi(
-    y_a: np.ndarray, y_c: np.ndarray, p: KernelParams, eps: float = 1e-3
-) -> np.ndarray:
-    """Gradient of the softened repulsion term with respect to y_a; the one-row
-    case of ``grad_log_one_minus_phi_rows``."""
-    return grad_log_one_minus_phi_rows(_diff_row(y_a, y_c), p, eps)[0]
 
 
 @dataclass(frozen=True)

@@ -100,12 +100,12 @@ class KnnGraph:
     """Per-point neighbor ids and distances, each row sorted ascending.
 
     ``exact_evals`` is the number of candidate distances the search
-    evaluated exactly (0 for a graph not made by ``knn_search``)."""
+    evaluated exactly."""
 
     indices: np.ndarray
     distances: np.ndarray
     k: int
-    exact_evals: int = 0
+    exact_evals: int
 
     @property
     def n(self) -> int:
@@ -226,8 +226,8 @@ def knn_search(X: DataMatrix, k: int) -> KnnGraph:
         rows, cols = np.divmod(np.flatnonzero(A <= thr[:, None]), n)
 
         # re-rank the candidates with the reference's arithmetic
-        diff = P[cols]
-        diff -= P[rows + start]
+        diff = P.take(cols, axis=0)
+        diff -= P.take(rows + start, axis=0)
         d2 = sq_norms(diff)
         order = np.lexsort((cols, d2, rows))
         counts = np.bincount(rows, minlength=m)

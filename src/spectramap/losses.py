@@ -34,7 +34,6 @@ only at the trajectory's endpoints.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -100,9 +99,6 @@ class LossReport:
             "laplacian_form": self.laplacian_form,
             "taylor_bound": self.taylor_bound,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def attractive_term(V: SimilarityGraph, Y: np.ndarray, p: KernelParams) -> float:

@@ -29,6 +29,7 @@ one.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Literal
@@ -39,7 +40,7 @@ from .errors import ConfigurationError, OptimizationError
 from .fuzzy import SimilarityGraph
 from .kernels import KernelParams, grad_log_one_minus_phi_rows, grad_log_phi_rows
 from .losses import LossReport, cross_entropy_loss, event_losses
-from .spectra import SpectralSolution, spectral_init
+from .spectra import SpectralSolution
 
 # spectral starting coordinates are rescaled to this max-abs
 SPECTRAL_MAX_ABS = 10.0
@@ -63,8 +64,10 @@ class OptimizerConfig:
             raise ConfigurationError("n_epochs must be >= 1")
         if self.n_neg < 0:
             raise ConfigurationError("n_neg must be >= 0")
-        if self.initial_lr <= 0 or self.clip <= 0 or self.eps <= 0:
-            raise ConfigurationError("initial_lr, clip and eps must be positive")
+        # NaN fails these tests too; clip = inf means no clipping
+        if not (0 < self.initial_lr < math.inf and self.clip > 0 and self.eps > 0):
+            raise ConfigurationError("initial_lr must be finite and positive; clip "
+                                     "and eps must be positive")
         if self.samples_per_epoch is not None and self.samples_per_epoch < 0:
             raise ConfigurationError("samples_per_epoch must be >= 0")
 
@@ -155,18 +158,12 @@ def _build_alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(prob), np.array(alias)
 
 
-def init_embedding(
-    V: SimilarityGraph, d: int, mode: Literal["spectral", "random"], seed: int
-) -> Embedding:
-    """Starting coordinates: spectral layout rescaled to max-abs 10, or uniform."""
+def random_embedding(n: int, d: int, seed: int) -> Embedding:
+    """n starting points drawn uniformly from [-10, 10)^d."""
     if d < 1:
         raise ConfigurationError("d must be >= 1")
-    if mode == "random":
-        rng = np.random.default_rng(seed)
-        return Embedding(rng.uniform(-10.0, 10.0, size=(V.n, d)), "random")
-    if mode != "spectral":
-        raise ConfigurationError(f"unknown init mode {mode!r}")
-    return spectral_embedding(spectral_init(V, d))
+    rng = np.random.default_rng(seed)
+    return Embedding(rng.uniform(-10.0, 10.0, size=(n, d)), "random")
 
 
 def spectral_embedding(sol: SpectralSolution) -> Embedding:

@@ -89,7 +89,7 @@ def edge_sq_lengths(V: SimilarityGraph, Y: np.ndarray) -> tuple[np.ndarray, np.n
         raise ConfigurationError(
             f"Y has {Y.shape[0]} rows but the graph has {V.n} vertices"
         )
-    diff = Y[V.rows] - Y[V.cols]
+    diff = Y.take(V.rows, axis=0) - Y.take(V.cols, axis=0)
     return V.weights, np.einsum("ij,ij->i", diff, diff)
 
 
@@ -220,7 +220,7 @@ class RelaxationReport:
 def ncut_relaxation_check(V: SimilarityGraph, d: int) -> RelaxationReport:
     """Verify that generalized eigenvectors of (L, D) map onto Lnorm's under
     u -> D^{1/2} u, comparing eigenvalue lists and subspace principal angles."""
-    n_comp = count_components(V)
+    n_comp = V.components[0]
     if n_comp != 1:
         raise GraphStructureError(
             f"relaxation check requires a connected graph, found {n_comp} components"
@@ -248,15 +248,11 @@ def ncut_relaxation_check(V: SimilarityGraph, d: int) -> RelaxationReport:
 
 
 def random_orthonormal_frame(
-    n: int, d: int, rng: np.random.Generator, complement: np.ndarray | None = None
+    n: int, d: int, rng: np.random.Generator, complement: np.ndarray
 ) -> np.ndarray:
-    """Random n x d orthonormal frame, optionally orthogonal to given columns."""
+    """Random n x d orthonormal frame orthogonal to the orthonormal columns
+    of ``complement``."""
     G = rng.standard_normal((n, d))
-    if complement is not None:
-        G = G - complement @ (complement.T @ G)
+    G = G - complement @ (complement.T @ G)
     Q, _ = np.linalg.qr(G)
     return Q
-
-
-def count_components(V: SimilarityGraph) -> int:
-    return V.components[0]

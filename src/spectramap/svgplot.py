@@ -18,51 +18,46 @@ PALETTE = (
     "#ccb974",
     "#64b5cd",
 )
+# side of the square image, frame inset and circle radius, in SVG user units
+SIZE = 480
+MARGIN = 40
+RADIUS = 3.0
 
 
-def svg_scatter(
-    points: np.ndarray,
-    labels: np.ndarray | None,
-    path,
-    size: int = 480,
-    margin: int = 40,
-    radius: float = 3.0,
-) -> None:
-    """Write a 2-d scatter as standalone SVG, one circle per point."""
+def svg_scatter(points: np.ndarray, labels: np.ndarray, path) -> None:
+    """Write a 2-d scatter as standalone SVG, one circle per point, coloured
+    by its integer label."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))[:, :2]
     # a 1-d layout is drawn along the x axis, at y = 0
     pts = np.pad(pts, ((0, 0), (0, 2 - pts.shape[1])))
-    n = pts.shape[0]
-    if labels is None:
-        labels = np.zeros(n, dtype=np.int64)
 
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     span = np.where(hi - lo > 0, hi - lo, 1.0)
-    inner = size - 2 * margin
-    xs = margin + (pts[:, 0] - lo[0]) / span[0] * inner
+    inner = SIZE - 2 * MARGIN
+    xs = MARGIN + (pts[:, 0] - lo[0]) / span[0] * inner
     # SVG y axis grows downward
-    ys = size - margin - (pts[:, 1] - lo[1]) / span[1] * inner
+    ys = SIZE - MARGIN - (pts[:, 1] - lo[1]) / span[1] * inner
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect x="0" y="0" width="{size}" height="{size}" fill="white"/>',
-        f'<rect x="{margin}" y="{margin}" width="{inner}" height="{inner}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
+        f'viewBox="0 0 {SIZE} {SIZE}">',
+        f'<rect x="0" y="0" width="{SIZE}" height="{SIZE}" fill="white"/>',
+        f'<rect x="{MARGIN}" y="{MARGIN}" width="{inner}" height="{inner}" '
         'fill="none" stroke="#888" stroke-width="1"/>',
     ]
     for (x, y), lab in zip(zip(xs, ys), labels):
         color = PALETTE[int(lab) % len(PALETTE)]
         parts.append(
-            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{radius}" '
+            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{RADIUS}" '
             f'fill="{color}" fill-opacity="0.8"/>'
         )
     for txt, x, y, anchor in (
-        (f"{lo[0]:.3g}", margin, size - margin + 14, "middle"),
-        (f"{hi[0]:.3g}", size - margin, size - margin + 14, "middle"),
-        (f"{lo[1]:.3g}", margin - 6, size - margin, "end"),
-        (f"{hi[1]:.3g}", margin - 6, margin + 4, "end"),
+        (f"{lo[0]:.3g}", MARGIN, SIZE - MARGIN + 14, "middle"),
+        (f"{hi[0]:.3g}", SIZE - MARGIN, SIZE - MARGIN + 14, "middle"),
+        (f"{lo[1]:.3g}", MARGIN - 6, SIZE - MARGIN, "end"),
+        (f"{hi[1]:.3g}", MARGIN - 6, MARGIN + 4, "end"),
     ):
         parts.append(
             f'<text x="{x}" y="{y}" font-size="10" text-anchor="{anchor}" '

@@ -36,12 +36,28 @@ class TestGenData:
         ("--gen", "blobs", "--data-dim", 0),
         ("--gen", "blobs", "--n", 3, "--clusters", 4),
         ("--gen", "blobs", "--n", -5),
+        ("--gen", "moons", "--noise", "nan"),
+        ("--gen", "blobs", "--std", "nan"),
+        ("--gen", "blobs", "--n", 41, "--clusters", 2),
     ])
     def test_bad_source_is_a_named_error(self, tmp_path, capsys, flags):
         out = tmp_path / "data.csv"
         assert run_cli("gen-data", *flags, "--out", out) == 2
         assert "error [datasets]" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_uneven_blob_count_names_both_values(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli("embed", "--gen", "blobs", "--n", 41, "--clusters", 2,
+                       "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert "error [datasets]" in err and "41" in err and "2" in err
+        assert not (out / "run.json").exists()
+
+    def test_missing_output_directory_is_a_named_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert run_cli("gen-data", "--gen", "moons", "--out", out) == 2
+        assert "error [output]" in capsys.readouterr().err
 
 
 class TestEmbed:
@@ -173,11 +189,34 @@ class TestEmbed:
         (("--kernel", "gaussian", "--tau", -1), "kernel"),
         (("--epochs", 0), "optimizer"),
         (("--lr", 0), "optimizer"),
+        (("--lr", "nan"), "optimizer"),
+        (("--lr", "inf"), "optimizer"),
+        (("--clip", "nan"), "optimizer"),
+        (("--eps", "nan"), "optimizer"),
+        (("--a", "nan"), "kernel"),
+        (("--a", "inf", "--b", 1), "kernel"),
+        (("--b", "nan"), "kernel"),
+        (("--kernel", "gaussian", "--tau", "nan"), "kernel"),
+        (("--kernel", "gaussian", "--tau", "inf"), "kernel"),
     ])
     def test_bad_setting_is_a_named_error(self, tmp_path, capsys, flags, module):
         code, _ = self._embed(tmp_path, *flags)
         assert code == 2
         assert f"error [{module}]" in capsys.readouterr().err
+
+    def test_unbounded_clip_cuts_nothing(self, tmp_path):
+        code, out = self._embed(tmp_path, "--clip", "inf", "--epochs", 2)
+        assert code == 0
+        records = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+        assert [rec["clip_frac"] for rec in records[1:]] == [0.0, 0.0]
+
+    def test_out_dir_that_is_a_file_is_a_named_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run_cli("embed", "--gen", "blobs", "--n", 20, "--k", 5,
+                       "--out-dir", taken) == 2
+        assert "error [output]" in capsys.readouterr().err
+        assert taken.read_text() == ""
 
     def test_bad_k_reports_module(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -304,3 +343,27 @@ class TestConfigFile:
         config = json.loads((out / "run.json").read_text())["config"]
         assert config["move_other"] is True
         assert config["n"] == 40 and config["epochs"] == 2
+
+
+class TestCsvOutput:
+    @pytest.mark.parametrize("command, prefix", [("gen-data", "x"), ("embed", "y")])
+    def test_format(self, tmp_path, command, prefix):
+        """Both CSV outputs come from one writer: a ``{prefix}0,...,label``
+        header, Unix line endings, and every float as its shortest repr."""
+        if command == "gen-data":
+            path = tmp_path / "data.csv"
+            args = ("--data-dim", 3, "--out", path)
+        else:
+            path = tmp_path / "embedding.csv"
+            args = ("--k", 5, "--epochs", 2, "--dim", 3, "--out-dir", tmp_path)
+        assert run_cli(command, "--gen", "blobs", "--n", 20, *args) == 0
+        raw = path.read_bytes()
+        assert b"\r" not in raw and raw.endswith(b"\n")
+        header, *rows = raw.decode().split("\n")[:-1]
+        assert header == f"{prefix}0,{prefix}1,{prefix}2,label"
+        assert len(rows) == 20
+        for row in rows:
+            *floats, label = row.split(",")
+            assert len(floats) == 3
+            assert all(repr(float(cell)) == cell for cell in floats)
+            assert label in ("0", "1")

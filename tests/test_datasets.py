@@ -165,7 +165,7 @@ class TestCsvRoundTrip:
     def test_write_then_load_reproduces_coordinates(self, tmp_path):
         ds = sm.gen_blobs(20, [(0, 0, 0), (5, 5, 5)], 1.3, 11)
         f = tmp_path / "roundtrip.csv"
-        sm.save_csv(ds, f, with_labels=True)
+        sm.save_csv(ds, f)
         back = sm.load_csv(f, has_labels=True)
         np.testing.assert_allclose(
             back.data.points, ds.data.points, rtol=0, atol=1e-12

@@ -26,7 +26,7 @@ def _knn_from_distances(dists):
     indices = np.empty((n, k), dtype=np.int64)
     for i in range(n):
         indices[i] = [j for j in range(n) if j != i][:k]
-    return KnnGraph(indices=indices, distances=full, k=k)
+    return KnnGraph(indices=indices, distances=full, k=k, exact_evals=0)
 
 
 class TestBandwidthCalibration:

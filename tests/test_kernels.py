@@ -3,7 +3,13 @@ import pytest
 
 import spectramap as sm
 from spectramap.errors import ConfigurationError
-from spectramap.kernels import log_one_minus_phi, log_phi, target_curve
+from spectramap.kernels import (
+    grad_log_one_minus_phi_rows,
+    grad_log_phi_rows,
+    log_one_minus_phi,
+    log_phi,
+    target_curve,
+)
 
 
 def central_diff(f, y, h=1e-6):
@@ -98,11 +104,11 @@ class TestFitAb:
 
 class TestAttractiveGradient:
     def test_gaussian_linear(self):
-        g = sm.grad_log_phi(np.array([1.0, 0.0]), np.zeros(2), sm.KernelParams.gaussian(1.0))
+        g = grad_log_phi_rows(np.array([[1.0, 0.0]]), sm.KernelParams.gaussian(1.0))[0]
         np.testing.assert_allclose(g, [-1.0, 0.0])
 
     def test_cauchy_unit_fixture(self):
-        g = sm.grad_log_phi(np.array([1.0, 0.0]), np.zeros(2), sm.KernelParams.cauchy(1.0, 1.0))
+        g = grad_log_phi_rows(np.array([[1.0, 0.0]]), sm.KernelParams.cauchy(1.0, 1.0))[0]
         np.testing.assert_allclose(g, [-1.0, 0.0], atol=1e-12)
 
     def test_coincident_points_stationary(self):
@@ -112,7 +118,7 @@ class TestAttractiveGradient:
             sm.KernelParams.cauchy(1.9, 0.79),
             sm.KernelParams.gaussian(1.0),
         ):
-            np.testing.assert_allclose(sm.grad_log_phi(y, y.copy(), p), [0.0, 0.0])
+            np.testing.assert_allclose(grad_log_phi_rows((y - y)[None, :], p)[0], [0.0, 0.0])
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -124,7 +130,7 @@ class TestAttractiveGradient:
                 d = y - y_b
                 return float(np.log(sm.phi(float(d @ d), p)))
 
-            g = sm.grad_log_phi(y_a, y_b, p)
+            g = grad_log_phi_rows((y_a - y_b)[None, :], p)[0]
             fd = central_diff(f, y_a)
             np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-9)
 
@@ -132,21 +138,21 @@ class TestAttractiveGradient:
 class TestRepulsiveGradient:
     def test_cauchy_unit_fixture_pushes_apart(self):
         y_a, y_c = np.array([1.0, 0.0]), np.zeros(2)
-        g = sm.grad_log_one_minus_phi(y_a, y_c, sm.KernelParams.cauchy(1.0, 1.0), eps=0.0)
+        g = grad_log_one_minus_phi_rows((y_a - y_c)[None, :], sm.KernelParams.cauchy(1.0, 1.0), 0.0)[0]
         np.testing.assert_allclose(g, [1.0, 0.0], atol=1e-12)
         assert g @ (y_a - y_c) > 0
 
     def test_vanishes_at_long_range(self):
         p = sm.KernelParams.cauchy(1.0, 1.0)
-        far = sm.grad_log_one_minus_phi(np.array([300.0, 0.0]), np.zeros(2), p, eps=0.0)
+        far = grad_log_one_minus_phi_rows(np.array([[300.0, 0.0]]), p, 0.0)[0]
         assert np.linalg.norm(far) < 1e-4
         pg = sm.KernelParams.gaussian(1.0)
-        farg = sm.grad_log_one_minus_phi(np.array([30.0, 0.0]), np.zeros(2), pg, eps=0.0)
+        farg = grad_log_one_minus_phi_rows(np.array([[30.0, 0.0]]), pg, 0.0)[0]
         assert np.linalg.norm(farg) < 1e-10
 
     def test_coincident_points_zero(self):
         y = np.array([0.5, 0.5])
-        g = sm.grad_log_one_minus_phi(y, y.copy(), sm.KernelParams.cauchy(1.9, 0.79))
+        g = grad_log_one_minus_phi_rows((y - y)[None, :], sm.KernelParams.cauchy(1.9, 0.79), 1e-3)[0]
         np.testing.assert_allclose(g, [0.0, 0.0])
 
     def test_regularized_gradient_matches_surrogate_objective(self):
@@ -160,15 +166,14 @@ class TestRepulsiveGradient:
             d = y - y_c
             return float(log_one_minus_phi(float(d @ d), p, eps))
 
-        g = sm.grad_log_one_minus_phi(y_a, y_c, p, eps=eps)
+        g = grad_log_one_minus_phi_rows((y_a - y_c)[None, :], p, eps)[0]
         fd = central_diff(f, y_a)
         rel = np.linalg.norm(g - fd) / np.linalg.norm(g)
         assert rel <= 1e-4
 
     def test_negative_eps_rejected(self):
         with pytest.raises(ConfigurationError):
-            sm.grad_log_one_minus_phi(np.ones(2), np.zeros(2),
-                                      sm.KernelParams.cauchy(), eps=-1.0)
+            grad_log_one_minus_phi_rows(np.ones((1, 2)), sm.KernelParams.cauchy(), -1.0)
 
 
 class TestGradientSweep:
@@ -189,10 +194,10 @@ class TestGradientSweep:
             else:
                 p = sm.KernelParams.gaussian(float(rng.uniform(0.5, 2.0)))
             if trial % 4 < 2:
-                g = sm.grad_log_phi(y_a, y_b, p)
+                g = grad_log_phi_rows((y_a - y_b)[None, :], p)[0]
                 f = lambda y: float(log_phi(float((y - y_b) @ (y - y_b)), p))
             else:
-                g = sm.grad_log_one_minus_phi(y_a, y_b, p, eps=0.0)
+                g = grad_log_one_minus_phi_rows((y_a - y_b)[None, :], p, 0.0)[0]
                 f = lambda y: float(
                     log_one_minus_phi(float((y - y_b) @ (y - y_b)), p, 0.0)
                 )

@@ -142,7 +142,7 @@ class TestCrossEntropyLoss:
     def test_json_serialization(self, k2_graph):
         Y = np.array([[0.0], [1.0]])
         rep = sm.cross_entropy_loss(k2_graph, Y, sm.KernelParams.cauchy(1.9, 0.8))
-        body = json.loads(rep.to_json())
+        body = json.loads(json.dumps(rep.to_json_dict()))
         assert set(body) == {"total", "attract", "repel", "laplacian_form",
                              "taylor_bound"}
         assert body["laplacian_form"] is None  # b != 1: no quadratic form
@@ -166,7 +166,7 @@ class TestLaplacianComparison:
         # spectral init rescales to max-abs 10, where exp(-s / 2 tau) falls
         # far below any log clamp; the identity must still hold exactly
         V = pipeline_graph(30, 0)
-        Y = sm.init_embedding(V, 2, "spectral", 0).coords
+        Y = sm.spectral_embedding(sm.spectral_init(V, 2)).coords
         assert np.abs(Y).max() == pytest.approx(10.0)
         for tau in (0.5, 1.0, 2.0):
             att, lap, gap = sm.laplacian_comparison(

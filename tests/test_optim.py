@@ -8,6 +8,7 @@ from scipy import stats
 
 import spectramap as sm
 from spectramap.errors import ConfigurationError, OptimizationError
+from spectramap.kernels import grad_log_one_minus_phi_rows, grad_log_phi_rows
 from spectramap.optim import EdgeSampler, _build_alias_table, wave_schedule
 
 from conftest import random_similarity_graph, stochastic_step_loss
@@ -117,7 +118,7 @@ class TestNegativeSampling:
 
 class TestInitEmbedding:
     def test_spectral_path_three(self, p3_graph):
-        emb = sm.init_embedding(p3_graph, 1, "spectral", 0)
+        emb = sm.spectral_embedding(sm.spectral_init(p3_graph, 1))
         sol = sm.spectral_init(p3_graph, 1)
         expected = sol.vectors * (10.0 / np.abs(sol.vectors).max())
         np.testing.assert_allclose(emb.coords, expected)
@@ -125,20 +126,19 @@ class TestInitEmbedding:
         assert emb.provenance == "spectral"
 
     def test_random_deterministic(self, p3_graph):
-        a = sm.init_embedding(p3_graph, 2, "random", 7)
-        b = sm.init_embedding(p3_graph, 2, "random", 7)
+        a = sm.random_embedding(p3_graph.n, 2, 7)
+        b = sm.random_embedding(p3_graph.n, 2, 7)
         assert np.array_equal(a.coords, b.coords)
         assert np.abs(a.coords).max() <= 10.0
-
-    def test_unknown_mode_rejected(self, p3_graph):
-        with pytest.raises(ConfigurationError):
-            sm.init_embedding(p3_graph, 1, "pca", 0)
 
     @pytest.mark.parametrize("mode", ["random", "spectral"])
     @pytest.mark.parametrize("d", [0, -1])
     def test_dimension_below_one_rejected(self, p3_graph, mode, d):
         with pytest.raises(ConfigurationError, match="d must be >= 1"):
-            sm.init_embedding(p3_graph, d, mode, 0)
+            if mode == "random":
+                sm.random_embedding(p3_graph.n, d, 0)
+            else:
+                sm.spectral_init(p3_graph, d)
 
 
 def small_config(**kw):
@@ -149,7 +149,7 @@ def small_config(**kw):
 
 class TestOptimize:
     def test_zero_samples_is_identity(self, two_blob_graph):
-        Y0 = sm.init_embedding(two_blob_graph, 2, "random", 3)
+        Y0 = sm.random_embedding(two_blob_graph.n, 2, 3)
         cfg = small_config(n_epochs=1, samples_per_epoch=0)
         res = sm.optimize(two_blob_graph, Y0, sm.KernelParams.cauchy(), cfg)
         assert np.array_equal(res.embedding.coords, Y0.coords)
@@ -163,7 +163,7 @@ class TestOptimize:
         assert np.linalg.norm(np.diff(res.embedding.coords, axis=0)) < 3.0
 
     def test_deterministic_end_to_end(self, two_blob_graph):
-        Y0 = sm.init_embedding(two_blob_graph, 2, "spectral", 9)
+        Y0 = sm.spectral_embedding(sm.spectral_init(two_blob_graph, 2))
         cfg = small_config(n_epochs=3)
         p = sm.KernelParams.cauchy(1.5, 0.9)
         a = sm.optimize(two_blob_graph, Y0, p, cfg)
@@ -172,7 +172,7 @@ class TestOptimize:
         assert a.self_collisions == b.self_collisions
 
     def test_learning_rate_schedule_exact(self, two_blob_graph):
-        Y0 = sm.init_embedding(two_blob_graph, 2, "random", 5)
+        Y0 = sm.random_embedding(two_blob_graph.n, 2, 5)
         cfg = small_config(n_epochs=4, initial_lr=0.8, samples_per_epoch=5)
         res = sm.optimize(two_blob_graph, Y0, sm.KernelParams.cauchy(), cfg)
         alphas = [rec.alpha for rec in res.trace]
@@ -182,7 +182,7 @@ class TestOptimize:
     def test_loss_recorded_every_epoch(self, two_blob_graph):
         """Every epoch records its step-loss statistics; the full loss is
         evaluated on the first and the final state only."""
-        Y0 = sm.init_embedding(two_blob_graph, 2, "spectral", 5)
+        Y0 = sm.spectral_embedding(sm.spectral_init(two_blob_graph, 2))
         cfg = small_config(n_epochs=3)
         res = sm.optimize(two_blob_graph, Y0, sm.KernelParams.cauchy(), cfg)
         assert len(res.trace) == 4
@@ -198,7 +198,7 @@ class TestOptimize:
         ring = np.arange(n)
         W = sp.coo_matrix((np.full(n, 0.5), (ring, (ring + 1) % n)), shape=(n, n))
         V = sm.SimilarityGraph((W + W.T).tocsr())
-        Y0 = sm.init_embedding(V, 2, "random", 0)
+        Y0 = sm.random_embedding(V.n, 2, 0)
         cfg = small_config(n_epochs=2, samples_per_epoch=100)
         res = sm.optimize(V, Y0, sm.KernelParams.cauchy(), cfg)
         assert isinstance(res.trace[0].loss, sm.LossReport)
@@ -239,7 +239,7 @@ class TestOptimize:
         assert 350 <= res.self_collisions <= 650
 
     def test_loss_decreases_on_two_blobs(self, two_blob_graph):
-        Y0 = sm.init_embedding(two_blob_graph, 2, "spectral", 42)
+        Y0 = sm.spectral_embedding(sm.spectral_init(two_blob_graph, 2))
         fit = sm.fit_ab(0.1)
         p = sm.KernelParams.cauchy(fit.fitted_a, fit.fitted_b)
         cfg = sm.OptimizerConfig(n_epochs=30, n_neg=5, seed=42)
@@ -249,7 +249,7 @@ class TestOptimize:
     def test_trace_jsonl_round_trip(self, two_blob_graph, tmp_path):
         import json
 
-        Y0 = sm.init_embedding(two_blob_graph, 2, "spectral", 1)
+        Y0 = sm.spectral_embedding(sm.spectral_init(two_blob_graph, 2))
         cfg = small_config(n_epochs=2)
         res = sm.optimize(two_blob_graph, Y0, sm.KernelParams.cauchy(), cfg)
         path = tmp_path / "trace.jsonl"
@@ -331,7 +331,7 @@ def sequential_reference(V, Y0, p, cfg):
         for s in range(n_samples):
             a, b = pairs[s]
             losses.append(stochastic_step_loss(a, b, negs[s], Y, p))
-            grad = sm.grad_log_phi(Y[a], Y[b], p)
+            grad = grad_log_phi_rows((Y[a] - Y[b])[None, :], p)[0]
             cut += int(np.sum(np.abs(grad) > cfg.clip))
             coords += d
             grad = np.clip(grad, -cfg.clip, cfg.clip)
@@ -342,7 +342,7 @@ def sequential_reference(V, Y0, p, cfg):
                 if c == a:
                     collisions += 1
                     continue
-                g = sm.grad_log_one_minus_phi(Y[a], Y[c], p, cfg.eps)
+                g = grad_log_one_minus_phi_rows((Y[a] - Y[c])[None, :], p, cfg.eps)[0]
                 cut += int(np.sum(np.abs(g) > cfg.clip))
                 coords += d
                 Y[a] += alpha * np.clip(g, -cfg.clip, cfg.clip)
@@ -406,7 +406,7 @@ class TestWaveSchedule:
         assert sum(rec.stats.self_collisions for rec in res.trace[1:]) == collisions
 
     def test_epoch_stats_on_two_blobs(self, two_blob_graph, tmp_path):
-        Y0 = sm.init_embedding(two_blob_graph, 2, "spectral", 4)
+        Y0 = sm.spectral_embedding(sm.spectral_init(two_blob_graph, 2))
         cfg = small_config(n_epochs=2, n_neg=5)
         res = sm.optimize(two_blob_graph, Y0, sm.KernelParams.cauchy(), cfg,
                           track_loss=False)

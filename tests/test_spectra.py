@@ -11,7 +11,6 @@ from spectramap.errors import ConfigurationError, EigensolverError, GraphStructu
 from spectramap.spectra import (
     DENSE_MAX_N,
     NULL_SPACE_TOL,
-    count_components,
     random_orthonormal_frame,
 )
 
@@ -186,7 +185,7 @@ class TestSparseSpectralInit:
     @pytest.mark.parametrize("d", [2, 3])
     def test_matches_dense_eigh(self, sparse_path_graphs, name, d):
         V, components = sparse_path_graphs[name]
-        assert V.n > DENSE_MAX_N and count_components(V) == components
+        assert V.n > DENSE_MAX_N and V.components[0] == components
         sol = sm.spectral_init(V, d)
         Ln = sm.build_laplacians(V).normalized
         vals, vecs = scipy.linalg.eigh(Ln.toarray())
@@ -258,8 +257,8 @@ class TestNcutRelaxation:
 
 class TestComponents:
     def test_counts(self, two_cliques_graph, p3_graph):
-        assert count_components(two_cliques_graph) == 2
-        assert count_components(p3_graph) == 1
+        assert two_cliques_graph.components[0] == 2
+        assert p3_graph.components[0] == 1
 
     def test_computed_once_per_graph(self, monkeypatch):
         calls = []
@@ -272,6 +271,6 @@ class TestComponents:
         points = np.random.default_rng(3).standard_normal((40, 2))
         V = sm.build_similarity_graph(sm.DataMatrix(points), 8)
         sol = sm.spectral_init(V, 2)
-        assert count_components(V) == sol.n_null
+        assert V.components[0] == sol.n_null
         sm.ncut_relaxation_check(V, 2)
         assert len(calls) == 1
