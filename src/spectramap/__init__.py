@@ -29,7 +29,6 @@ from .errors import (
     ParseError,
 )
 from .fuzzy import (
-    DirectedWeights,
     SimilarityGraph,
     SmoothKnnParams,
     build_similarity_graph,

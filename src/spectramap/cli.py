@@ -174,9 +174,16 @@ def _resolve_kernel(args) -> tuple[KernelParams, dict]:
     return KernelParams.cauchy(a, b), info
 
 
+def _reject_nan_settings(args) -> None:
+    """Every float setting must be a number, also one the chosen path never
+    reads: run.json echoes it, and a NaN there is not JSON."""
+    nan = [k for k, v in sorted(vars(args).items()) if isinstance(v, float) and np.isnan(v)]
+    if nan:
+        flags = ", ".join("--" + k.replace("_", "-") for k in nan)
+        raise ConfigurationError(f"{flags} must not be NaN")
+
+
 def cmd_embed(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         ds = _make_dataset(args)
     except Exception as exc:
@@ -201,6 +208,13 @@ def cmd_embed(args) -> int:
     except ConfigurationError as exc:
         print(f"error [optimizer]: {exc}", file=sys.stderr)
         return 2
+    try:
+        _reject_nan_settings(args)
+    except ConfigurationError as exc:
+        print(f"error [config]: {exc}", file=sys.stderr)
+        return 2
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         knn = knn_search(ds.data, args.k)
         calibration = smooth_knn_params(knn)
@@ -257,8 +271,6 @@ def cmd_embed(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     claims = args.claims.split(",") if args.claims else None
     try:
         result = equivalence.run_suite(
@@ -269,6 +281,8 @@ def cmd_verify(args) -> int:
     except ConfigurationError as exc:
         print(f"error [verify]: {exc}", file=sys.stderr)
         return 2
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(result.to_json() + "\n")
     table = equivalence.format_table(result)
     (out_dir / "report.txt").write_text(table + "\n")

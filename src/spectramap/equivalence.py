@@ -12,13 +12,16 @@ reports the measured residual against a fixed tolerance. Claim ids:
     lemmaA1          edge-sum and matrix forms of the quadratic identity agree
     eq20_bound       the curvature bound dominates the measured linearization gap
     a3_relaxation    (L, D) generalized eigenpairs map onto normalized ones
+
+``run_suite`` runs them in the order thm3.1a, thm3.1b, eq20_bound, thm3.1c,
+eq13_montecarlo, lemmaA1, a3_relaxation, each on its own ``claim_rng``
+stream, keyed by the claim's place in ``CLAIM_IDS`` (the order above).
 """
 
 from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +57,6 @@ CLAIM_IDS = (
     "eq20_bound",
     "a3_relaxation",
 )
-_CLAIM_CODE = {claim: idx for idx, claim in enumerate(CLAIM_IDS)}
 # Monte Carlo draws evaluated per step_losses call in the eq13 check
 MC_SLICE = 2**14
 # distance between the two blob centres of pipeline_graph
@@ -104,7 +106,7 @@ def _jsonable(v):
 
 def claim_rng(master_seed: int, claim: str) -> np.random.Generator:
     """Independent stream per claim, derived from (master seed, claim id)."""
-    return np.random.default_rng([master_seed, _CLAIM_CODE[claim]])
+    return np.random.default_rng([master_seed, CLAIM_IDS.index(claim)])
 
 
 def pipeline_graph(n: int, seed, k: int | None = None) -> SimilarityGraph:
@@ -411,23 +413,15 @@ def check_ncut_relaxation(n_graphs: int, seed) -> EquivalenceReport:
     )
 
 
-@dataclass(frozen=True)
-class KernelizedRow:
-    """Descriptive table row for the fitted heavy-tailed kernel: its raw
-    attraction on the shared instance, with no quadratic form defined."""
-
-    a: float
-    b: float
-    attract: float
-
-
 @dataclass
 class SuiteResult:
-    """The claim reports, plus each claim's wall time in seconds, which
-    differs run to run and so stays out of ``to_json``."""
+    """The claim reports, thm3.1b's descriptive row for the fitted kernel
+    (its raw attraction, with no quadratic form defined), and each claim's
+    wall time in seconds, which differs run to run and so stays out of
+    ``to_json``."""
 
     reports: list[EquivalenceReport]
-    kernelized: KernelizedRow | None = None
+    kernelized: dict | None = None
     claim_wall_s: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -440,12 +434,7 @@ class SuiteResult:
             "reports": [r.to_json_dict() for r in self.reports],
         }
         if self.kernelized is not None:
-            body["kernelized_row"] = {
-                "a": self.kernelized.a,
-                "b": self.kernelized.b,
-                "attract": self.kernelized.attract,
-                "note": "no quadratic form",
-            }
+            body["kernelized_row"] = self.kernelized
         return json.dumps(body, indent=2)
 
 
@@ -453,91 +442,77 @@ DEFAULT_N = 30
 DEFAULT_D = 2
 CAUCHY_SCALES = (0.1, 0.01, 0.001)
 
+def _run_thm3_1a(rng, n_draws, result):
+    result.reports += [check_gaussian_exactness(DEFAULT_N, DEFAULT_D, tau, rng.integers(2**31))
+                       for tau in (0.5, 1.0, 2.0)]
+
+
+def _run_thm3_1b(rng, n_draws, result):
+    seeds = rng.integers(2**31, size=len(CAUCHY_SCALES))
+    result.reports += [check_cauchy_first_order(DEFAULT_N, DEFAULT_D, 1.0, scale, s)
+                       for scale, s in zip(CAUCHY_SCALES, seeds)]
+    fit = fit_ab(0.1)
+    V, Y = _scaled_instance(DEFAULT_N, DEFAULT_D, 0.1, seeds[0])
+    att = attractive_term(V, Y, KernelParams.cauchy(fit.fitted_a, fit.fitted_b))
+    result.kernelized = {"a": fit.fitted_a, "b": fit.fitted_b, "attract": att,
+                         "note": "no quadratic form"}
+
+
+def _run_eq20_bound(rng, n_draws, result):
+    result.reports += [check_taylor_bound(DEFAULT_N, DEFAULT_D, 1.0, scale, rng.integers(2**31))
+                       for scale in (0.5, 0.05)]
+
+
+def _run_thm3_1c(rng, n_draws, result):
+    V = connected_two_blob_graph(rng.integers(2**31))
+    result.reports.append(check_spectral_optimality(V, d=2, trials=100, seed=rng.integers(2**31)))
+
+
+def _run_eq13_montecarlo(rng, n_draws, result):
+    V = pipeline_graph(8, rng.integers(2**31), k=3)
+    Y = rng.uniform(-1.0, 1.0, size=(V.n, DEFAULT_D))
+    p = KernelParams.cauchy()
+    result.reports.append(check_expected_loss(V, Y, p, 5, n_draws, rng.integers(2**31)))
+
+
+def _run_lemmaA1(rng, n_draws, result):
+    result.reports.append(check_laplacian_identity(1000, rng.integers(2**31)))
+
+
+def _run_a3_relaxation(rng, n_draws, result):
+    result.reports.append(check_ncut_relaxation(20, rng.integers(2**31)))
+
+
+# the suite's run order; each claim adds its reports (thm3.1b also its row) to the result
+_CLAIM_RUNS = {
+    "thm3.1a": _run_thm3_1a,
+    "thm3.1b": _run_thm3_1b,
+    "eq20_bound": _run_eq20_bound,
+    "thm3.1c": _run_thm3_1c,
+    "eq13_montecarlo": _run_eq13_montecarlo,
+    "lemmaA1": _run_lemmaA1,
+    "a3_relaxation": _run_a3_relaxation,
+}
+
 
 def run_suite(
     master_seed: int = 42,
     claims: list[str] | None = None,
     n_draws: int = 200_000,
 ) -> SuiteResult:
-    """Evaluate every claim (or a filtered subset) on shared default instances."""
-    if claims is not None:
-        unknown = set(claims) - set(CLAIM_IDS)
-        if unknown:
-            raise ConfigurationError(f"unknown claim ids: {sorted(unknown)}")
-    wanted = set(claims) if claims is not None else set(CLAIM_IDS)
+    """Evaluate every claim (or a filtered subset) in the run order of the
+    module docstring, each on its own ``claim_rng`` stream."""
+    wanted = set(CLAIM_IDS if claims is None else claims)
+    if not wanted <= set(CLAIM_IDS):
+        raise ConfigurationError(f"unknown claim ids: {sorted(wanted - set(CLAIM_IDS))}")
 
-    reports: list[EquivalenceReport] = []
-    kernelized = None
-    wall_s: dict[str, float] = {}
-
-    @contextmanager
-    def timed(claim: str):
-        start = time.perf_counter()
-        yield
-        wall_s[claim] = time.perf_counter() - start
-
-    if "thm3.1a" in wanted:
-        with timed("thm3.1a"):
-            rng = claim_rng(master_seed, "thm3.1a")
-            for tau in (0.5, 1.0, 2.0):
-                reports.append(
-                    check_gaussian_exactness(DEFAULT_N, DEFAULT_D, tau, rng.integers(2**31))
-                )
-
-    if "thm3.1b" in wanted:
-        with timed("thm3.1b"):
-            rng = claim_rng(master_seed, "thm3.1b")
-            seeds = rng.integers(2**31, size=len(CAUCHY_SCALES))
-            for scale, s in zip(CAUCHY_SCALES, seeds):
-                reports.append(
-                    check_cauchy_first_order(DEFAULT_N, DEFAULT_D, 1.0, scale, s)
-                )
-            # descriptive row: the fitted kernel has no quadratic counterpart
-            fit = fit_ab(0.1)
-            V, Y = _scaled_instance(DEFAULT_N, DEFAULT_D, 0.1, seeds[0])
-            att = attractive_term(V, Y, KernelParams.cauchy(fit.fitted_a, fit.fitted_b))
-            kernelized = KernelizedRow(a=fit.fitted_a, b=fit.fitted_b, attract=att)
-
-    if "eq20_bound" in wanted:
-        with timed("eq20_bound"):
-            rng = claim_rng(master_seed, "eq20_bound")
-            for scale in (0.5, 0.05):
-                reports.append(
-                    check_taylor_bound(
-                        DEFAULT_N, DEFAULT_D, 1.0, scale, rng.integers(2**31)
-                    )
-                )
-
-    if "thm3.1c" in wanted:
-        with timed("thm3.1c"):
-            rng = claim_rng(master_seed, "thm3.1c")
-            V = connected_two_blob_graph(rng.integers(2**31))
-            reports.append(
-                check_spectral_optimality(V, d=2, trials=100, seed=rng.integers(2**31))
-            )
-
-    if "eq13_montecarlo" in wanted:
-        with timed("eq13_montecarlo"):
-            rng = claim_rng(master_seed, "eq13_montecarlo")
-            V = pipeline_graph(8, rng.integers(2**31), k=3)
-            Y = rng.uniform(-1.0, 1.0, size=(V.n, DEFAULT_D))
-            reports.append(
-                check_expected_loss(
-                    V, Y, KernelParams.cauchy(), 5, n_draws, rng.integers(2**31)
-                )
-            )
-
-    if "lemmaA1" in wanted:
-        with timed("lemmaA1"):
-            rng = claim_rng(master_seed, "lemmaA1")
-            reports.append(check_laplacian_identity(1000, rng.integers(2**31)))
-
-    if "a3_relaxation" in wanted:
-        with timed("a3_relaxation"):
-            rng = claim_rng(master_seed, "a3_relaxation")
-            reports.append(check_ncut_relaxation(20, rng.integers(2**31)))
-
-    return SuiteResult(reports=reports, kernelized=kernelized, claim_wall_s=wall_s)
+    result = SuiteResult(reports=[])
+    for claim, run in _CLAIM_RUNS.items():
+        if claim in wanted:
+            start = time.perf_counter()
+            run(claim_rng(master_seed, claim), n_draws, result)
+            result.claim_wall_s[claim] = time.perf_counter() - start
+    return result
 
 
 def format_table(result: SuiteResult) -> str:
@@ -557,8 +532,8 @@ def format_table(result: SuiteResult) -> str:
     if result.kernelized is not None:
         kr = result.kernelized
         lines.append(
-            f"{'cauchy a=%.3f b=%.3f' % (kr.a, kr.b):<25} "
-            f"{'attract=%.6g' % kr.attract:<26} {'kernelized':<12} "
+            f"{'cauchy a=%.3f b=%.3f' % (kr['a'], kr['b']):<25} "
+            f"{'attract=%.6g' % kr['attract']:<26} {'kernelized':<12} "
             "no quadratic form"
         )
     if cauchy:

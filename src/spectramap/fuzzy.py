@@ -6,10 +6,11 @@ smoothed neighbor weights sum to log2 k), directed edge weights
 exp(-max(0, d - rho_i) / sigma_i), and symmetrization through the
 probabilistic t-conorm a (+) b = a + b - ab.
 
-The result is a ``SimilarityGraph``: the canonical edge arrays (rows, cols,
-weights; row-major, sorted, duplicate-free) of a symmetric matrix with zero
-diagonal and weights in [0, 1], validated once with numpy when the graph is
-made. Edge sums read those arrays; the scipy CSR matrix is built only when
+The result is a ``SimilarityGraph(n, rows, cols, weights)``: the canonical
+edge arrays (row-major, sorted, duplicate-free) of a symmetric matrix with
+zero diagonal and weights in [0, 1], validated once with numpy. ``symmetrize``
+makes them itself, the adapters ``from_sparse`` and ``from_dense`` from a
+matrix. Edge sums read the arrays; the scipy CSR matrix is built only when
 Laplacian or component work first asks for it.
 """
 
@@ -123,19 +124,9 @@ def smooth_knn_params(knn: KnnGraph) -> SmoothKnnParams:
     return SmoothKnnParams(rho=rho, sigma=sigma, flagged=flagged, residual=residual)
 
 
-@dataclass(frozen=True)
-class DirectedWeights:
-    """Sparse matrix of directed fuzzy weights v_{j|i} on the k-NN edges."""
-
-    matrix: sp.csr_matrix
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-
-def directed_weights(knn: KnnGraph, params: SmoothKnnParams) -> DirectedWeights:
-    """exp(-max(0, d_ij - rho_i) / sigma_i) for every k-NN edge.
+def directed_weights(knn: KnnGraph, params: SmoothKnnParams) -> sp.csr_matrix:
+    """exp(-max(0, d_ij - rho_i) / sigma_i) for every k-NN edge, as the CSR
+    matrix of directed weights v_{j|i}, row i holding point i's neighbors.
 
     Weights are in (0, 1]; entries that underflow to exactly zero (possible
     only for clamped degenerate rows) are dropped from the sparse structure.
@@ -149,7 +140,7 @@ def directed_weights(knn: KnnGraph, params: SmoothKnnParams) -> DirectedWeights:
     )
     mat.eliminate_zeros()
     mat.sort_indices()
-    return DirectedWeights(matrix=mat)
+    return mat
 
 
 def t_conorm(a, b):
@@ -171,40 +162,73 @@ def _index_dtype(n: int, nnz: int):
     return np.int32 if max(n, nnz) < 2**31 else np.int64
 
 
+@dataclass(frozen=True, eq=False)
 class SimilarityGraph:
     """Symmetric fuzzy adjacency matrix with weights in [0, 1], zero diagonal.
 
-    The graph is its vertex count ``n`` and the canonical arrays ``rows``,
-    ``cols`` and ``weights`` of its stored entries: row-major, sorted and
-    duplicate-free, with both orientations of every edge, scipy's int32 index
-    dtype (int64 once n or nnz outgrows it) and float64 weights, all
-    read-only. An explicitly stored zero stays an entry. The constructors
-    validate the arrays once: the matrix is square, its weights are finite,
-    it is exactly symmetric (W_ij == W_ji as values, a missing entry counting
-    as 0), its diagonal is zero and its weights lie in [0, 1]. The scipy CSR
-    ``matrix``, the degrees and the connected components are each computed
-    on first use and kept; the graph is immutable.
-
-    ``SimilarityGraph(sparse)`` takes any scipy sparse matrix and sums
-    duplicate entries first; ``from_dense`` never builds a scipy matrix.
+    ``SimilarityGraph(n, rows, cols, weights)`` takes over the canonical
+    arrays of the stored entries, row-major, sorted and duplicate-free (the
+    keys rows * n + cols strictly increase) with every index in [0, n), and
+    makes them read-only. An explicitly stored zero stays an entry. The
+    arrays are validated once: integer and canonical indices, finite weights,
+    exact symmetry (W_ij == W_ji as values, a missing entry counting as 0),
+    zero diagonal and weights in [0, 1]. The scipy CSR ``matrix``, the
+    degrees and the connected components are each computed on first use and
+    kept; the graph is immutable. The adapters ``from_sparse`` (any scipy
+    sparse matrix, duplicates summed first) and ``from_dense`` (the nonzero
+    entries of a square array, no scipy matrix built) make the arrays with
+    scipy's int32 index dtype (int64 once n or nnz outgrows it) and float64
+    weights.
     """
 
-    def __init__(self, matrix):
+    n: int
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        n = int(self.n)
+        rows, cols = np.asarray(self.rows), np.asarray(self.cols)
+        weights = np.asarray(self.weights, dtype=np.float64)
+        if not rows.shape == cols.shape == weights.shape == (weights.size,):
+            raise GraphStructureError("rows, cols and weights must be 1-D and of one length")
+        if rows.dtype.kind not in "iu" or cols.dtype.kind not in "iu":
+            raise GraphStructureError("rows and cols must be integer arrays")
+        key = rows.astype(np.int64) * n + cols
+        if np.any(key[1:] <= key[:-1]):
+            raise GraphStructureError("entries must be row-major sorted and duplicate-free")
+        # increasing keys with every column in [0, n) leave the rows sorted
+        if rows.size and (rows[0] < 0 or rows[-1] >= n or cols.min() < 0 or cols.max() >= n):
+            raise GraphStructureError(f"vertex index outside [0, {n})")
+        if not np.all(np.isfinite(weights)):
+            # NaN fails every comparison below, so it must be caught first
+            raise GraphStructureError("edge weights must be finite")
+        # symmetric iff the nonzero entries, keyed col * n + row and sorted,
+        # repeat the row-major keys with the same weights
+        nz = weights != 0.0
+        r, c, w = rows[nz], cols[nz], weights[nz]
+        key_t = c.astype(np.int64) * n + r
+        order = np.argsort(key_t)
+        if not (np.array_equal(key_t[order], key[nz]) and np.array_equal(w[order], w)):
+            raise GraphStructureError("adjacency matrix must be exactly symmetric")
+        if np.any(w[r == c]):
+            raise GraphStructureError("diagonal must be zero")
+        if weights.size and (weights.min() < 0.0 or weights.max() > 1.0):
+            raise GraphStructureError("edge weights must lie in [0, 1]")
+        for name, arr in (("rows", rows), ("cols", cols), ("weights", weights)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "n", n)
+
+    @classmethod
+    def from_sparse(cls, matrix) -> "SimilarityGraph":
+        """Graph on the entries of a square scipy sparse matrix."""
         if matrix.shape[0] != matrix.shape[1]:
             raise GraphStructureError("adjacency matrix must be square")
         m = matrix.tocsr(copy=True)
-        m.sum_duplicates()
-        m.sort_indices()
+        m.sum_duplicates()  # also sorts each row's indices
         rows = np.repeat(np.arange(m.shape[0], dtype=m.indices.dtype), np.diff(m.indptr))
-        self._set(m.shape[0], rows, m.indices, m.data)
-
-    @classmethod
-    def _from_arrays(cls, n, rows, cols, weights) -> "SimilarityGraph":
-        """Graph on canonical arrays (row-major, sorted, duplicate-free),
-        which it takes over and makes read-only."""
-        graph = cls.__new__(cls)
-        graph._set(n, rows, cols, weights)
-        return graph
+        return cls(m.shape[0], rows, m.indices, m.data)
 
     @classmethod
     def from_dense(cls, dense) -> "SimilarityGraph":
@@ -214,39 +238,7 @@ class SimilarityGraph:
             raise GraphStructureError("adjacency matrix must be square")
         rows, cols = np.nonzero(dense)
         idx = _index_dtype(dense.shape[0], rows.size)
-        return cls._from_arrays(
-            dense.shape[0], rows.astype(idx), cols.astype(idx), dense[rows, cols]
-        )
-
-    def _set(self, n, rows, cols, weights) -> None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if not np.all(np.isfinite(weights)):
-            # NaN fails every comparison below, so it must be caught first
-            raise GraphStructureError("edge weights must be finite")
-        # symmetric iff the nonzero entries, keyed col * n + row and sorted,
-        # repeat the row-major keys row * n + col with the same weights
-        nz = weights != 0.0
-        r, c, w = rows[nz], cols[nz], weights[nz]
-        key_t = c.astype(np.int64) * n + r
-        order = np.argsort(key_t)
-        if not (
-            np.array_equal(key_t[order], r.astype(np.int64) * n + c)
-            and np.array_equal(w[order], w)
-        ):
-            raise GraphStructureError("adjacency matrix must be exactly symmetric")
-        if np.any(w[r == c]):
-            raise GraphStructureError("diagonal must be zero")
-        if weights.size and (weights.min() < 0.0 or weights.max() > 1.0):
-            raise GraphStructureError("edge weights must lie in [0, 1]")
-        for name, arr in (("rows", rows), ("cols", cols), ("weights", weights)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "n", int(n))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SimilarityGraph is immutable")
-
-    __delattr__ = __setattr__
+        return cls(dense.shape[0], rows.astype(idx), cols.astype(idx), dense[rows, cols])
 
     @property
     def nnz(self) -> int:
@@ -350,13 +342,14 @@ class SimilarityGraph:
             rows += [a, b]
             cols += [b, a]
             vals += [v, v]
-        return cls(sp.csr_matrix((vals, (rows, cols)), shape=(n, n)))
+        return cls.from_sparse(sp.csr_matrix((vals, (rows, cols)), shape=(n, n)))
 
 
-def symmetrize(directed: DirectedWeights) -> SimilarityGraph:
-    """Fuzzy-union the two directions of every edge: v_ij = v_j|i (+) v_i|j."""
-    n = directed.n
-    coo = directed.matrix.tocoo()
+def symmetrize(directed: sp.csr_matrix) -> SimilarityGraph:
+    """Fuzzy-union the two directions of every edge of the ``directed_weights``
+    matrix: v_ij = v_j|i (+) v_i|j."""
+    n = directed.shape[0]
+    coo = directed.tocoo()
     key_fwd = coo.row.astype(np.int64) * n + coo.col
     key_bwd = coo.col.astype(np.int64) * n + coo.row
     keys = np.unique(np.concatenate([key_fwd, key_bwd]))
@@ -369,7 +362,7 @@ def symmetrize(directed: DirectedWeights) -> SimilarityGraph:
     w = t_conorm(p, q)
     # the keys are sorted and unique, so these arrays are already canonical
     idx = _index_dtype(n, keys.size)
-    return SimilarityGraph._from_arrays(n, (keys // n).astype(idx), (keys % n).astype(idx), w)
+    return SimilarityGraph(n, (keys // n).astype(idx), (keys % n).astype(idx), w)
 
 
 def build_similarity_graph(X: DataMatrix, k: int) -> SimilarityGraph:

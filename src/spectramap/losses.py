@@ -35,7 +35,6 @@ only at the trajectory's endpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -91,26 +90,11 @@ class LossReport:
     laplacian_form: float | None
     taylor_bound: float | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "attract": self.attract,
-            "repel": self.repel,
-            "laplacian_form": self.laplacian_form,
-            "taylor_bound": self.taylor_bound,
-        }
-
 
 def attractive_term(V: SimilarityGraph, Y: np.ndarray, p: KernelParams) -> float:
     """-sum_{i != j} v_ij log phi(s_ij) over stored edges, closed-form logs."""
     w, s = edge_sq_lengths(V, Y)
     return -float(w @ log_phi(s, p))
-
-
-class LaplacianComparison(NamedTuple):
-    attract: float
-    laplacian_form: float
-    gap: float
 
 
 def _laplacian_constant(p: KernelParams) -> float | None:
@@ -123,8 +107,8 @@ def _laplacian_constant(p: KernelParams) -> float | None:
 
 def laplacian_comparison(
     V: SimilarityGraph, Y: np.ndarray, p: KernelParams
-) -> LaplacianComparison:
-    """Attraction next to its quadratic-form counterpart c * tr(Y^T L Y).
+) -> tuple[float, float, float]:
+    """The attraction, its quadratic-form counterpart c * tr(Y^T L Y), and their gap.
 
     The two numbers come from independent code paths: the attraction sums
     closed-form kernel logs edge by edge, the quadratic form sums weighted
@@ -137,7 +121,7 @@ def laplacian_comparison(
         )
     att = attractive_term(V, Y, p)
     lap = c * laplacian_quadratic(V, Y)
-    return LaplacianComparison(attract=att, laplacian_form=lap, gap=abs(att - lap))
+    return att, lap, abs(att - lap)
 
 
 def taylor_error_bound(V: SimilarityGraph, Y: np.ndarray, a: float) -> float:

@@ -212,7 +212,7 @@ class EpochRecord:
     def to_json(self) -> str:
         body = {"epoch": self.epoch, "alpha": self.alpha}
         if self.loss is not None:
-            body.update(self.loss.to_json_dict())
+            body.update(asdict(self.loss))
         if self.stats is not None:
             body.update(asdict(self.stats))
         return json.dumps(body)

@@ -9,6 +9,7 @@ must fail here rather than in a benchmark run.
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -53,9 +54,13 @@ def test_traced_embed(tmp_path):
 
 
 def test_traced_verify(tmp_path):
+    # every claim, in the order the benchmark runs them
+    claims = runpy.run_path(str(ROOT / "benchmark" / "workloads.py"))["CLAIM_IDS"]
     out = tmp_path / "spans.json"
-    run_traced("verify", "--claims", "lemmaA1", "--seed", 42, "--draws", 2000, "--out", out)
-    names, values = load_spans(out)
-    assert "equivalence.lemmaA1" in names
-    assert values["claims"] == ["lemmaA1"]
-    assert values["equivalence.reports_failed"] == 0
+    run_traced("verify", "--claims", ",".join(claims), "--seed", 42, "--draws", 2000,
+               "--out", out)
+    body = json.loads(out.read_text())
+    spans = [s["name"] for s in body["spans"] if s["name"].startswith("equivalence.")]
+    assert spans == [f"equivalence.{c}" for c in claims]
+    assert body["values"]["claims"] == sorted(claims)
+    assert body["values"]["equivalence.reports_failed"] == 0

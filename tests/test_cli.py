@@ -198,11 +198,25 @@ class TestEmbed:
         (("--b", "nan"), "kernel"),
         (("--kernel", "gaussian", "--tau", "nan"), "kernel"),
         (("--kernel", "gaussian", "--tau", "inf"), "kernel"),
+        # NaN settings the chosen path never reads
+        (("--tau", "nan"), "config"),
+        (("--kernel", "gaussian", "--a", "nan"), "config"),
+        (("--kernel", "gaussian", "--b", "nan"), "config"),
+        (("--kernel", "gaussian", "--min-dist", "nan"), "config"),
+        (("--min-dist", "nan", "--a", 1, "--b", 1), "config"),
+        (("--noise", "nan"), "config"),
+        (("--gen", "moons", "--std", "nan"), "config"),
     ])
     def test_bad_setting_is_a_named_error(self, tmp_path, capsys, flags, module):
-        code, _ = self._embed(tmp_path, *flags)
+        code, out = self._embed(tmp_path, *flags)
         assert code == 2
         assert f"error [{module}]" in capsys.readouterr().err
+        assert not (out / "run.json").exists()
+
+    def test_rejected_run_leaves_no_out_dir(self, tmp_path):
+        code, out = self._embed(tmp_path, "--lr", "nan")
+        assert code == 2
+        assert not out.exists()
 
     def test_unbounded_clip_cuts_nothing(self, tmp_path):
         code, out = self._embed(tmp_path, "--clip", "inf", "--epochs", 2)
@@ -259,6 +273,12 @@ class TestVerify:
         code = run_cli("verify", "--claims", "thm3.1a", "--out-dir", out)
         assert code == 1
         assert "thm3.1a" in capsys.readouterr().err
+
+    def test_unknown_claim_leaves_no_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "verify"
+        assert run_cli("verify", "--claims", "nope", "--out-dir", out) == 2
+        assert "error [verify]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_single_draw_is_a_named_error(self, tmp_path, capsys):
         out = tmp_path / "verify"

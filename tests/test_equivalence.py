@@ -245,6 +245,23 @@ class TestSuite:
         assert "1st-order" in table
         assert "no quadratic form" in table
 
+    def test_claim_table_order_and_independent_streams(self):
+        full = eq.run_suite(master_seed=42, n_draws=2000)
+        assert full.all_passed
+        assert [r.claim for r in full.reports] == (
+            ["thm3.1a"] * 3 + ["thm3.1b"] * 3 + ["eq20_bound"] * 2
+            + ["thm3.1c", "eq13_montecarlo", "lemmaA1", "a3_relaxation"]
+        )
+        for claim in eq.CLAIM_IDS:
+            alone = eq.run_suite(master_seed=42, claims=[claim], n_draws=2000)
+            assert [r.to_json_dict() for r in alone.reports] == [
+                r.to_json_dict() for r in full.reports if r.claim == claim
+            ]
+            if claim == "thm3.1b":
+                assert alone.kernelized == full.kernelized
+            else:
+                assert alone.kernelized is None
+
     def test_reports_deterministic(self):
         a = eq.run_suite(master_seed=7, claims=["thm3.1a", "lemmaA1"])
         b = eq.run_suite(master_seed=7, claims=["thm3.1a", "lemmaA1"])

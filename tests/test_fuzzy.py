@@ -83,14 +83,14 @@ class TestDirectedWeights:
     def test_weight_one_inside_rho(self):
         knn = _knn_from_distances([[1.0, 2.0, 2.0, 2.0]])
         params = sm.smooth_knn_params(knn)
-        w = sm.directed_weights(knn, params).matrix
+        w = sm.directed_weights(knn, params)
         assert w[0, 1] == 1.0  # d == rho
 
     def test_fixture_weight_one_third(self):
         # d=2, rho=1, sigma=1/ln3 -> exp(-ln 3) = 1/3
         knn = _knn_from_distances([[1.0, 2.0, 2.0, 2.0]])
         params = sm.smooth_knn_params(knn)
-        w = sm.directed_weights(knn, params).matrix
+        w = sm.directed_weights(knn, params)
         np.testing.assert_allclose(w[0, 2], 1.0 / 3.0, atol=1e-6)
 
     def test_unit_exponent(self):
@@ -101,7 +101,7 @@ class TestDirectedWeights:
         knn = _knn_from_distances([[1.0, 1.5, 1.0 + x, 1.0 + x]])
         params = sm.smooth_knn_params(knn)
         np.testing.assert_allclose(params.sigma[0], 0.5, atol=1e-9)
-        w = sm.directed_weights(knn, params).matrix
+        w = sm.directed_weights(knn, params)
         np.testing.assert_allclose(w[0, 2], np.exp(-1.0), atol=1e-8)
 
     def test_all_weights_in_unit_interval(self):
@@ -109,7 +109,7 @@ class TestDirectedWeights:
         pts = rng.standard_normal((60, 3))
         knn = sm.knn_search(sm.DataMatrix(pts), 10)
         params = sm.smooth_knn_params(knn)
-        w = sm.directed_weights(knn, params).matrix
+        w = sm.directed_weights(knn, params)
         assert w.data.min() > 0.0
         assert w.data.max() <= 1.0
 
@@ -156,7 +156,7 @@ class TestSymmetrize:
 
     def test_dominates_both_directions(self):
         directed, V = self._graph()
-        P = directed.matrix.tocoo()
+        P = directed.tocoo()
         for i, j, v in zip(P.row, P.col, P.data):
             assert V.matrix[i, j] >= v - 1e-15
 
@@ -169,10 +169,8 @@ class TestSymmetrize:
         assert V.matrix.diagonal().max() == 0.0
 
     def test_single_direction_passthrough(self):
-        from spectramap.fuzzy import DirectedWeights
-
         m = sp.csr_matrix(np.array([[0.0, 0.4], [0.0, 0.0]]))
-        V = sm.symmetrize(DirectedWeights(matrix=m))
+        V = sm.symmetrize(m)
         assert V.matrix[0, 1] == 0.4
         assert V.matrix[1, 0] == 0.4
 
@@ -351,7 +349,7 @@ class TestGraphValidation:
             order = np.argsort(rows, kind="stable")
             indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
             x = sp.csr_matrix((vals[order], cols[order], indptr), shape=shape)
-        self._check(lambda: sm.SimilarityGraph(x), x)
+        self._check(lambda: sm.SimilarityGraph.from_sparse(x), x)
 
     @settings(max_examples=300, deadline=None)
     @given(adjacency_entries())
@@ -369,6 +367,28 @@ class TestGraphValidation:
         assert p3_graph.degrees()[0] == 1.0
         with pytest.raises(AttributeError):
             p3_graph.n = 4
+
+    @pytest.mark.parametrize("rows, cols, weights, message", [
+        ([1, 0], [0, 1], [0.5, 0.5], "row-major sorted"),
+        ([0, 0, 1], [1, 1, 0], [0.5, 0.5, 0.5], "duplicate-free"),
+        ([0, 3], [3, 0], [0.5, 0.5], "outside"),
+        ([-1, 0], [0, -1], [0.5, 0.5], "outside"),
+        ([0, 1], [1, 0], [0.5], "one length"),
+        ([0.0, 1.0], [1.0, 0.0], [0.5, 0.5], "integer"),
+    ])
+    def test_constructor_rejects_arrays_that_are_not_canonical(self, rows, cols, weights, message):
+        with pytest.raises(GraphStructureError, match=message):
+            sm.SimilarityGraph(3, np.array(rows), np.array(cols), np.array(weights))
+
+    def test_constructor_takes_over_canonical_arrays(self, two_blob_graph):
+        V = sm.SimilarityGraph(
+            two_blob_graph.n, two_blob_graph.rows, two_blob_graph.cols, two_blob_graph.weights
+        )
+        assert V.rows is two_blob_graph.rows
+        assert V.cols is two_blob_graph.cols
+        assert V.weights is two_blob_graph.weights
+        with pytest.raises(AttributeError):
+            V.n = 4
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -142,7 +143,7 @@ class TestCrossEntropyLoss:
     def test_json_serialization(self, k2_graph):
         Y = np.array([[0.0], [1.0]])
         rep = sm.cross_entropy_loss(k2_graph, Y, sm.KernelParams.cauchy(1.9, 0.8))
-        body = json.loads(json.dumps(rep.to_json_dict()))
+        body = json.loads(json.dumps(asdict(rep)))
         assert set(body) == {"total", "attract", "repel", "laplacian_form",
                              "taylor_bound"}
         assert body["laplacian_form"] is None  # b != 1: no quadratic form

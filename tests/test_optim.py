@@ -197,7 +197,7 @@ class TestOptimize:
         n = 6000
         ring = np.arange(n)
         W = sp.coo_matrix((np.full(n, 0.5), (ring, (ring + 1) % n)), shape=(n, n))
-        V = sm.SimilarityGraph((W + W.T).tocsr())
+        V = sm.SimilarityGraph.from_sparse((W + W.T).tocsr())
         Y0 = sm.random_embedding(V.n, 2, 0)
         cfg = small_config(n_epochs=2, samples_per_epoch=100)
         res = sm.optimize(V, Y0, sm.KernelParams.cauchy(), cfg)

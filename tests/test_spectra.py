@@ -156,7 +156,7 @@ class TestSpectralInit:
 
 
 def _two_copies(V):
-    return sm.SimilarityGraph(sp.block_diag([V.matrix, V.matrix]).tocsr())
+    return sm.SimilarityGraph.from_sparse(sp.block_diag([V.matrix, V.matrix]).tocsr())
 
 
 @pytest.fixture(scope="module")
