@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -144,8 +145,10 @@ def _make_dataset(args) -> LabeledDataset:
 
 
 def _effective_config(args) -> dict:
+    # strict JSON has no infinity: an infinite setting is written as "inf" or "-inf"
     return {
-        k: v for k, v in sorted(vars(args).items()) if k not in ("command",)
+        k: str(v) if isinstance(v, float) and math.isinf(v) else v
+        for k, v in sorted(vars(args).items()) if k != "command"
     }
 
 

@@ -11,7 +11,9 @@ edge arrays (row-major, sorted, duplicate-free) of a symmetric matrix with
 zero diagonal and weights in [0, 1], validated once with numpy. ``symmetrize``
 makes them itself, the adapters ``from_sparse`` and ``from_dense`` from a
 matrix. Edge sums read the arrays; the scipy CSR matrix is built only when
-Laplacian or component work first asks for it.
+Laplacian work first asks for it. The connected components come from a
+numpy hook-and-compress pass over the same arrays, so no ``scipy.sparse``
+submodule is loaded for them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .datasets import DataMatrix
 from .errors import ConfigurationError, GraphStructureError, ParseError
@@ -162,6 +163,30 @@ def _index_dtype(n: int, nnz: int):
     return np.int32 if max(n, nnz) < 2**31 else np.int64
 
 
+def connected_components(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[int, np.ndarray]:
+    """Components of the undirected graph on n vertices whose edges are the
+    pairs (rows[e], cols[e]): their number and each vertex's label.
+
+    Each vertex points at a smaller or equal one. A round points every
+    vertex at its root, then hooks each root onto the smallest root across
+    an edge; no edge crossing two roots is left at the end. The labels
+    number the components by their smallest vertex, as scipy's
+    ``connected_components`` does, with its int32 dtype.
+    """
+    root = np.arange(n)
+    while True:
+        while not np.array_equal(up := root[root], root):
+            root = up
+        a, b = root[rows], root[cols]
+        cross = a != b
+        if not cross.any():
+            break
+        a, b = a[cross], b[cross]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+    first = root == np.arange(n)
+    return int(first.sum()), (np.cumsum(first) - 1)[root].astype(np.int32)
+
+
 @dataclass(frozen=True, eq=False)
 class SimilarityGraph:
     """Symmetric fuzzy adjacency matrix with weights in [0, 1], zero diagonal.
@@ -262,10 +287,12 @@ class SimilarityGraph:
 
     @cached_property
     def components(self) -> tuple[int, np.ndarray]:
-        """Number of connected components and each vertex's component label."""
-        count, labels = connected_components(self.matrix, directed=False)
+        """Number of connected components and each vertex's component label
+        (see ``connected_components``); every stored entry is an edge, an
+        explicit zero too, as scipy counts it."""
+        count, labels = connected_components(self.n, self.rows, self.cols)
         labels.flags.writeable = False
-        return int(count), labels
+        return count, labels
 
     @cached_property
     def _degrees(self) -> np.ndarray:

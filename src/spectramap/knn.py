@@ -131,13 +131,14 @@ def row_block_buffers(n: int, count: int):
 
 
 def sq_norms(diff: np.ndarray) -> np.ndarray:
-    """Squared norm of each row of the (m, d) float64 array ``diff``, with
-    the reference's arithmetic: ``diff`` is squared in place (its values are
-    consumed) and the columns are added in coordinate order."""
+    """Squared norm of each row (along the last axis) of the float64 array
+    ``diff``, (m, d) or (m, n_neg, d), with the reference's arithmetic:
+    ``diff`` is squared in place (its values are consumed) and the
+    coordinates are added in order."""
     diff *= diff
-    s = diff[:, 0].copy()
-    for t in range(1, diff.shape[1]):
-        s += diff[:, t]
+    s = diff[..., 0].copy()
+    for t in range(1, diff.shape[-1]):
+        s += diff[..., t]
     return s
 
 

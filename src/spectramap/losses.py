@@ -184,25 +184,25 @@ def step_losses(
     closed-form -log phi of the pair, then minus each negative's clamped
     ``repel_logs`` in draw order; a negative equal to its own anchor is
     skipped (a pair with itself has no repulsion direction). The rows are
-    gathered here with ``take``, several times faster than fancy indexing,
-    one negative column at a time; ``event_losses`` does the arithmetic.
+    gathered here with ``take``, several times faster than fancy indexing;
+    ``event_losses`` does the arithmetic.
     """
     Y = np.asarray(Y, dtype=np.float64)
     ya, yb = Y.take(anchors, axis=0), Y.take(partners, axis=0)
-    ycs = (Y.take(c, axis=0) for c in negs.T)
-    return event_losses(ya, yb, ycs, negs != anchors[:, None], p)
+    return event_losses(ya, yb, Y.take(negs, axis=0), negs != anchors[:, None], p)
 
 
-def event_losses(ya, yb, ycs, live, p: KernelParams) -> np.ndarray:
+def event_losses(ya, yb, yc, live, p: KernelParams) -> np.ndarray:
     """``step_losses`` from the events' rows: the (m, d) arrays ``ya`` of the
-    anchors and ``yb`` of the partners, an iterable ``ycs`` of each negative
-    column's (m, d) rows in draw order, and the (m, n_neg) mask ``live``,
-    true where the negative is not the event's own anchor. Each squared
-    distance is ``knn.sq_norms`` of the anchor's row less the other row.
+    anchors and ``yb`` of the partners, the (m, n_neg, d) array ``yc`` of
+    the negatives, and the (m, n_neg) mask ``live``, true where the negative
+    is not the event's own anchor. Each squared distance is ``knn.sq_norms``
+    of the anchor's row less the other row; all negatives are scored in one
+    pass and subtracted in draw order.
     """
     losses = -log_phi(sq_norms(ya - yb), p)
-    for yc, mask in zip(ycs, live.T):
-        log_q = repel_logs(sq_norms(ya - yc), p)
-        log_q[~mask] = 0.0
-        losses -= log_q
+    log_q = repel_logs(sq_norms(ya[:, None] - yc), p)
+    log_q[~live] = 0.0
+    for j in range(log_q.shape[1]):
+        losses -= log_q[:, j]
     return losses

@@ -284,7 +284,7 @@ def _run_wave(
     # take gathers rows several times faster than fancy indexing Y[a]
     ya, yb, yc = Y.take(a, axis=0), Y.take(b, axis=0), Y.take(negs, axis=0)
     # the losses at the rows as read, before ya moves
-    losses = event_losses(ya, yb, (yc[:, j] for j in range(negs.shape[1])), live, p)
+    losses = event_losses(ya, yb, yc, live, p)
     g = grad_log_phi_rows(ya - yb, p)
     cut = int(np.count_nonzero(np.abs(g) > cfg.clip))
     g = np.clip(g, -cfg.clip, cfg.clip)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,6 +228,21 @@ class TestEmbed:
         records = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
         assert [rec["clip_frac"] for rec in records[1:]] == [0.0, 0.0]
 
+    @pytest.mark.parametrize("flags, key, value", [
+        (("--clip", "inf", "--epochs", 2), "clip", "inf"),
+        # the cauchy kernel never reads tau
+        (("--tau", "inf", "--epochs", 2), "tau", "inf"),
+    ])
+    def test_infinite_setting_is_strict_json(self, tmp_path, flags, key, value):
+        code, out = self._embed(tmp_path, *flags)
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"run.json holds the non-JSON constant {name}")
+
+        report = json.loads((out / "run.json").read_text(), parse_constant=reject)
+        assert report["config"][key] == value
+
     def test_out_dir_that_is_a_file_is_a_named_error(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("")
@@ -387,3 +406,15 @@ class TestCsvOutput:
             assert len(floats) == 3
             assert all(repr(float(cell)) == cell for cell in floats)
             assert label in ("0", "1")
+
+
+def test_cli_import_loads_no_scipy_solvers():
+    """``scipy.linalg`` and the sparse solver modules cost about 0.2 s per
+    process to import; only the dense paths that need them load them."""
+    heavy = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+    code = f"import spectramap.cli, sys; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(Path(sm.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"

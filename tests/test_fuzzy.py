@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -389,6 +390,44 @@ class TestGraphValidation:
         assert V.weights is two_blob_graph.weights
         with pytest.raises(AttributeError):
             V.n = 4
+
+
+@st.composite
+def component_graphs(draw):
+    """A valid graph with many components, isolated vertices and explicitly
+    stored zeros, some stored in one orientation only."""
+    n = draw(st.integers(1, 60))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=n))
+    entries = {}
+    for i, j in sorted({(min(p), max(p)) for p in pairs if p[0] != p[1]}):
+        kind = draw(st.sampled_from(["edge", "zero", "one_sided_zero"]))
+        if kind == "one_sided_zero":
+            i, j = draw(st.permutations([i, j]))
+            entries[(i, j)] = 0.0
+        else:
+            entries[(i, j)] = entries[(j, i)] = draw(unit) if kind == "edge" else 0.0
+    keys = sorted(entries)
+    rows = np.array([k[0] for k in keys], dtype=np.int32)
+    cols = np.array([k[1] for k in keys], dtype=np.int32)
+    return sm.SimilarityGraph(n, rows, cols, np.array([entries[k] for k in keys]))
+
+
+class TestConnectedComponents:
+    @settings(max_examples=300, deadline=None)
+    @given(component_graphs())
+    def test_matches_scipy(self, V):
+        count, labels = V.components
+        ref_count, ref_labels = connected_components(V.matrix, directed=False)
+        assert count == ref_count
+        assert labels.dtype == ref_labels.dtype
+        assert np.array_equal(labels, ref_labels)
+
+    def test_every_vertex_alone(self):
+        V = sm.SimilarityGraph(5, np.array([], dtype=np.int32), np.array([], dtype=np.int32),
+                               np.array([]))
+        count, labels = V.components
+        assert count == 5 and labels.tolist() == [0, 1, 2, 3, 4]
 
 
 @st.composite

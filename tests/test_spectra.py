@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import ArpackNoConvergence
 
 import spectramap as sm
 from spectramap import fuzzy, spectra
@@ -172,16 +170,21 @@ def sparse_path_graphs():
     split = sm.build_similarity_graph(
         sm.gen_blobs(150, [(0.0, 0.0), (10.0, 0.0)], 1.0, 0).data, 10
     )
+    # small gap: the bottom eigenvalues are about 4e-4, only 3.3e-5 apart
+    moons_small_gap = sm.build_similarity_graph(sm.gen_two_moons(1000, 0.05, 0).data, 15)
     return {
         "blobs": (blobs, 1),
         "moons": (moons, 2),
+        "moons_small_gap": (moons_small_gap, 2),
         "two_copies": (_two_copies(split), 4),
         "two_copies_connected": (_two_copies(blobs), 2),
     }
 
 
 class TestSparseSpectralInit:
-    @pytest.mark.parametrize("name", ["blobs", "moons", "two_copies", "two_copies_connected"])
+    @pytest.mark.parametrize(
+        "name", ["blobs", "moons", "moons_small_gap", "two_copies", "two_copies_connected"]
+    )
     @pytest.mark.parametrize("d", [2, 3])
     def test_matches_dense_eigh(self, sparse_path_graphs, name, d):
         V, components = sparse_path_graphs[name]
@@ -215,13 +218,23 @@ class TestSparseSpectralInit:
 
     def test_no_convergence_raises(self, sparse_path_graphs, monkeypatch):
         V, _ = sparse_path_graphs["blobs"]
-
-        def fail(op, k, **kw):
-            raise ArpackNoConvergence("no luck", np.empty(0), np.empty((op.shape[0], 0)))
-
-        monkeypatch.setattr(spectra, "eigsh", fail)
-        with pytest.raises(EigensolverError, match=r"n=300, d=2.*residual"):
+        monkeypatch.setattr(spectra, "MAX_ROUNDS", 1)
+        with pytest.raises(EigensolverError, match=r"n=300, d=2, residual=\S+ after 1 rounds"):
             sm.spectral_init(V, 2)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_fewer_values_below_two_than_the_block_holds(self, d):
+        # 130 single edges and a triangle: the non-null spectrum is 1.5 twice,
+        # then 2, so the filtered block spans two directions and the solver
+        # must redraw the columns that vanish in Gram-Schmidt
+        edge = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        triangle = sp.csr_matrix(np.ones((3, 3)) - np.eye(3))
+        V = sm.SimilarityGraph.from_sparse(sp.block_diag([edge] * 130 + [triangle]).tocsr())
+        assert V.n > DENSE_MAX_N
+        sol = sm.spectral_init(V, d)
+        assert sol.n_null == 131
+        np.testing.assert_allclose(sol.values, [1.5, 1.5, 2.0, 2.0][:d], atol=1e-12)
+        assert sol.residual <= 1e-8
 
     def test_dense_path_reports_residual(self, two_blob_graph):
         assert two_blob_graph.n <= DENSE_MAX_N
@@ -262,10 +275,11 @@ class TestComponents:
 
     def test_computed_once_per_graph(self, monkeypatch):
         calls = []
+        components = fuzzy.connected_components
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return connected_components(*args, **kwargs)
+            return components(*args, **kwargs)
 
         monkeypatch.setattr(fuzzy, "connected_components", counted)
         points = np.random.default_rng(3).standard_normal((40, 2))
