@@ -110,10 +110,11 @@ def claim_rng(master_seed: int, claim: str) -> np.random.Generator:
 
 
 def pipeline_graph(n: int, seed, k: int | None = None) -> SimilarityGraph:
-    """Fuzzy graph of a two-blob cloud built through the real pipeline."""
-    if n < 3:
-        raise ConfigurationError("need n >= 3")
-    per = max(1, n // 2)
+    """Fuzzy graph of a two-blob cloud of n // 2 points per blob, built
+    through the real pipeline; an odd n loses one point."""
+    if n < 4:
+        raise ConfigurationError("need n >= 4")
+    per = n // 2
     centers = [(0.0, 0.0, 0.0), (BLOB_SEPARATION, 0.0, 0.0)]
     blob_seed = int(np.random.default_rng(seed).integers(2**31))
     ds = gen_blobs(per, centers, std=1.0, seed=blob_seed)
@@ -157,8 +158,6 @@ def check_gaussian_exactness(n: int, d: int, tau: float, seed) -> EquivalenceRep
     start. The residual is the worse of the two. The attraction takes the
     closed-form log phi with no clamp, so the identity holds at any scale.
     """
-    if n < 3:
-        raise ConfigurationError("need n >= 3")
     V = pipeline_graph(n, seed)
     rng = np.random.default_rng(seed)
     Y = rng.uniform(-0.5, 0.5, size=(V.n, d))

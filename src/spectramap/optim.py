@@ -322,6 +322,8 @@ def optimize(
     samples then run in waves (see the module docstring); each trace entry
     after the first carries that epoch's ``EpochStats`` and wall time.
     ``track_loss`` adds the full cross-entropy to the first and final entry.
+    Raises ``OptimizationError`` naming the epoch when a coordinate, a
+    step-loss mean or standard error, or a full loss is not finite.
     """
     if Y0.n != V.n:
         raise ConfigurationError("embedding and graph disagree on vertex count")
@@ -340,6 +342,8 @@ def optimize(
         alpha = cfg.initial_lr * (1.0 - epoch / cfg.n_epochs)
         endpoint = epoch in (0, cfg.n_epochs)
         loss = cross_entropy_loss(V, Y, p) if track_loss and endpoint else None
+        if loss is not None and not math.isfinite(loss.total):
+            raise OptimizationError(f"non-finite loss {loss.total} at epoch {epoch}")
         return EpochRecord(epoch=epoch, alpha=alpha, loss=loss, stats=stats, wall_s=wall_s)
 
     trace = [record(0)]
@@ -383,6 +387,9 @@ def optimize(
                 float(losses.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else None
             ),
         )
+        summary = [v for v in (stats.step_loss_mean, stats.step_loss_se) if v is not None]
+        if not np.isfinite(summary).all():
+            raise OptimizationError(f"non-finite step-loss mean or error at epoch {epoch}")
         collisions += stats.self_collisions
         trace.append(record(epoch + 1, stats, wall_s))
 

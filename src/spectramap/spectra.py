@@ -12,25 +12,24 @@ only as an independent cross-check in the test suite.
 
 ``spectral_init`` needs only the d eigenpairs of Lnorm just above its null
 space, and that null space is known exactly: one vector D^{1/2} 1_c per
-connected component c. Up to ``DENSE_MAX_N`` vertices a dense ``eigh``
-returns the whole spectrum. Above it, Chebyshev-filtered subspace iteration
-(Zhou, Saad, Tiago & Chelikowsky, J. Comput. Phys. 219, 2006) works on a
-block of d + ``BLOCK_EXTRA`` vectors, drawn from a ``START_SEED`` generator
-and kept orthogonal to the null basis. Each round is a Rayleigh-Ritz step
-on the block, then a degree-``FILTER_DEGREE`` Chebyshev polynomial in Lnorm
-that is bounded by 1 on [largest Ritz value, 2] and grows fast below it:
-the spectrum of Lnorm lies in [0, 2], so the filter damps every eigenvalue
-above the block and amplifies the wanted ones, with sparse products only.
-A block wider than any eigenvalue's multiplicity also holds every copy of
-a repeated eigenvalue, which one Krylov start vector cannot: on a graph
-made of identical copies, Lanczos sees each eigenspace through one
-direction. The solver stops once the d wanted pairs have residual
-||Lnorm u - lambda u|| at most ``EIG_RESIDUAL_TOL``/100, and gives up after
-``MAX_ROUNDS`` rounds. The dense path and the oracle
-``ncut_relaxation_check`` use ``scipy.linalg.eigh``, imported only when they
-run, so a process that takes the sparse path never loads it: together with
-the ARPACK and csgraph modules it replaced, that import cost about 0.2 s and
-12 MB per process.
+connected component c. Chebyshev-filtered subspace iteration (Zhou, Saad,
+Tiago & Chelikowsky, J. Comput. Phys. 219, 2006) finds them at every n. It
+works on a block of d + ``BLOCK_EXTRA`` vectors (on all n - n_null of a
+smaller graph, where the first Rayleigh-Ritz step is exact), drawn from a
+``START_SEED`` generator and kept orthogonal to the null space. Each round
+is a Rayleigh-Ritz step on the block, then a degree-``FILTER_DEGREE``
+Chebyshev polynomial in Lnorm that is bounded by 1 on [largest Ritz value,
+2] and grows fast below it: the spectrum of Lnorm lies in [0, 2], so the
+filter damps every eigenvalue above the block and amplifies the wanted
+ones, with sparse products only. A block wider than an eigenvalue's
+multiplicity holds every copy of it, which one Krylov start vector cannot.
+A narrower block can sink into a wanted eigenvalue's eigenspace, where its
+largest Ritz value comes within its residual of the wanted ones and the
+filter stalls; then the block is doubled with fresh columns. The solver
+stops once the d wanted pairs have residual ||Lnorm u - lambda u|| at most
+``EIG_RESIDUAL_TOL``/100, and gives up after ``MAX_ROUNDS`` rounds. Only
+the dense oracle ``ncut_relaxation_check`` imports ``scipy.linalg``, when
+it runs, so ``embed`` never pays that import (about 0.2 s and 12 MB).
 """
 
 from __future__ import annotations
@@ -45,8 +44,6 @@ from .fuzzy import SimilarityGraph
 
 # the dense oracles treat eigenvalues at or below this as the zero eigenspace
 NULL_SPACE_TOL = 1e-8
-# spectral_init decomposes densely up to this many vertices, iteratively above
-DENSE_MAX_N = 256
 # largest accepted ||Lnorm u - lambda u|| of a returned eigenpair
 EIG_RESIDUAL_TOL = 1e-8
 # seed of the iterative solver's start vectors
@@ -143,8 +140,8 @@ def _filtered_subspace(
     iteration (see the module docstring)."""
     n = Ln.shape[0]
     vol = np.bincount(labels, weights=sqrt_deg**2)
-    null = sp.csr_matrix((sqrt_deg / np.sqrt(vol[labels]), (np.arange(n), labels)))
-    null_t = null.T.tocsr()
+    # entries of the orthonormal null basis, one column per component
+    q = sqrt_deg / np.sqrt(vol[labels])
 
     rng = np.random.default_rng(START_SEED)
     # a Gram-Schmidt pass that leaves less than this share of a column has
@@ -162,7 +159,7 @@ def _filtered_subspace(
             x = X[:, j].copy()
             size = np.sqrt(x @ x)
             while True:
-                x -= null @ (null_t @ x)
+                x -= q * np.bincount(labels, weights=q * x)[labels]
                 x -= X[:, :j] @ (x @ X[:, :j])
                 last, size = size, np.sqrt(x @ x)
                 if size > last / 2:
@@ -174,9 +171,9 @@ def _filtered_subspace(
         return X
 
     # the block fits in the complement of the null space
-    m = min(d + BLOCK_EXTRA, n - vol.size)
-    X = rng.standard_normal((n, m))
-    for _ in range(MAX_ROUNDS):
+    room = n - vol.size
+    X = rng.standard_normal((n, min(d + BLOCK_EXTRA, room)))
+    for rounds in range(MAX_ROUNDS):
         X = orthonormalize(X)
         LX = Ln @ X
         theta, S = np.linalg.eigh(X.T @ LX)
@@ -184,6 +181,11 @@ def _filtered_subspace(
         residual = np.linalg.norm(LX[:, :d] - X[:, :d] * theta[:d], axis=0).max()
         if residual <= EIG_RESIDUAL_TOL / 100:
             return theta[:d], X[:, :d]
+        top_residual = np.linalg.norm(LX[:, -1] - X[:, -1] * theta[-1])
+        if rounds and X.shape[1] < room and theta[-1] - theta[d - 1] < top_residual:
+            # the block may sit inside one eigenspace, where the filter stalls
+            X = np.hstack([X, rng.standard_normal((n, min(X.shape[1], room - X.shape[1])))])
+            continue
         # T_k((Lnorm - c) / e) maps [lo, 2] into [-1, 1]; lo stays 2^-9 below
         # 2, which keeps T_k of the wanted values far below overflow
         lo = min(theta[-1], 2.0 - 2.0**-9)
@@ -216,13 +218,7 @@ def spectral_init(V: SimilarityGraph, d: int) -> SpectralSolution:
             f"d={d} eigenvectors requested but only {V.n - n_null} non-null available"
         )
     Ln = pair.normalized
-    if V.n <= DENSE_MAX_N:
-        import scipy.linalg  # about 0.2 s to import; see the module docstring
-
-        vals, vecs = scipy.linalg.eigh(Ln.toarray())
-        vals, vecs = vals[n_null : n_null + d], vecs[:, n_null : n_null + d]
-    else:
-        vals, vecs = _filtered_subspace(Ln, np.sqrt(pair.degree), labels, d)
+    vals, vecs = _filtered_subspace(Ln, np.sqrt(pair.degree), labels, d)
     residual = float(np.linalg.norm(Ln @ vecs - vecs * vals, axis=0).max())
     if not residual <= EIG_RESIDUAL_TOL:
         raise EigensolverError(

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -17,6 +18,12 @@ from conftest import negated_laplacian_quadratic
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def run_child(code):
+    """Run ``python -c code`` against this package in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(sm.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
 
 
 class TestGenData:
@@ -243,6 +250,23 @@ class TestEmbed:
         report = json.loads((out / "run.json").read_text(), parse_constant=reject)
         assert report["config"][key] == value
 
+    @pytest.mark.parametrize("flags", [
+        # finite coordinates whose squared distances overflow
+        ("--lr", "1e300"),
+        # finite step losses whose standard error overflows
+        ("--kernel", "gaussian", "--tau", "1e-300"),
+    ])
+    def test_non_finite_loss_is_an_optimizer_error(self, tmp_path, flags):
+        # a fresh process: in this one numpy's overflow warning is an error,
+        # which would hide a run that exits 0
+        args = ["embed", "--gen", "moons", "--n", "40", "--k", "5", "--epochs", "3",
+                *flags, "--out-dir", str(tmp_path)]
+        out = run_child(f"import sys, spectramap.cli; sys.exit(spectramap.cli.main({args!r}))")
+        assert out.returncode == 2
+        assert re.search(r"^error \[optimizer, init=spectral\]: non-finite .* at epoch \d",
+                         out.stderr, re.M)
+        assert not (tmp_path / "run.json").exists()
+
     def test_out_dir_that_is_a_file_is_a_named_error(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("")
@@ -408,13 +432,14 @@ class TestCsvOutput:
             assert label in ("0", "1")
 
 
-def test_cli_import_loads_no_scipy_solvers():
+def test_cli_import_loads_no_scipy_solvers(tmp_path):
     """``scipy.linalg`` and the sparse solver modules cost about 0.2 s per
-    process to import; only the dense paths that need them load them."""
+    process to import; neither importing the CLI nor a small ``embed``, whose
+    spectral start takes the same block solver as a large one, loads them."""
     heavy = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
-    code = f"import spectramap.cli, sys; print([m for m in {heavy!r} if m in sys.modules])"
-    env = dict(os.environ, PYTHONPATH=str(Path(sm.__file__).parents[1]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    )
-    assert out.stdout.strip() == "[]"
+    embed = ["embed", "--gen", "blobs", "--n", "60", "--k", "5", "--epochs", "2",
+             "--out-dir", str(tmp_path)]
+    for run in ("", f"assert spectramap.cli.main({embed!r}) == 0; "):
+        out = run_child(f"import spectramap.cli, sys; {run}"
+                        f"print([m for m in {heavy!r} if m in sys.modules])")
+        assert out.returncode == 0 and out.stdout.splitlines()[-1] == "[]"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import spectramap as sm
-from spectramap import equivalence as eq
+from spectramap import equivalence as eq, spectra
 from spectramap.errors import ConfigurationError, GraphStructureError
 
 from conftest import negated_laplacian_quadratic, stochastic_step_loss
@@ -36,6 +36,15 @@ class TestGaussianExactness:
         small, large = rep.context["max_abs_y"]
         assert small <= 0.5 and large == pytest.approx(10.0)
         assert rep.residual == max(rep.context["residuals"])
+
+    def test_too_few_points_rejected(self):
+        # pipeline_graph builds n // 2 points per blob, and calibration needs
+        # at least two neighbours per point
+        with pytest.raises(ConfigurationError, match=r"need n >= 4"):
+            eq.pipeline_graph(3, 0)
+        with pytest.raises(ConfigurationError, match=r"need n >= 4"):
+            eq.check_gaussian_exactness(3, 2, 1.0, 0)
+        assert eq.pipeline_graph(5, 0).n == 4
 
     def test_catches_a_clamp_that_bites_only_at_init_scale(self, monkeypatch):
         # log(max(phi, 1e-12)) caps each long Gaussian edge term; edges in
@@ -93,6 +102,20 @@ class TestSpectralOptimality:
     def test_disconnected_rejected(self, two_cliques_graph):
         with pytest.raises(GraphStructureError):
             eq.check_spectral_optimality(two_cliques_graph, 1, 10, 0)
+
+    def test_suite_certifies_the_block_solver(self, monkeypatch):
+        # the claim runs the eigensolver that embed runs, at its instance size
+        calls = []
+        solve = spectra._filtered_subspace
+
+        def counted(*args):
+            calls.append(args[0].shape[0])
+            return solve(*args)
+
+        monkeypatch.setattr(spectra, "_filtered_subspace", counted)
+        result = eq.run_suite(42, claims=["thm3.1c"])
+        assert result.all_passed
+        assert calls == [100]
 
 
 class TestExpectedLossMonteCarlo:

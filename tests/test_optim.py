@@ -228,6 +228,14 @@ class TestOptimize:
                 sm.optimize(k2_graph, Y0, sm.KernelParams.gaussian(1.0), cfg,
                             track_loss=False)
 
+    def test_non_finite_start_loss_aborts_with_epoch(self, k2_graph):
+        # finite coordinates whose squared distance overflows
+        Y0 = sm.Embedding(np.array([[0.0, 0.0], [1e200, 0.0]]), "external")
+        cfg = sm.OptimizerConfig(n_epochs=1, n_neg=0, seed=0, samples_per_epoch=5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OptimizationError, match="non-finite loss inf at epoch 0"):
+                sm.optimize(k2_graph, Y0, sm.KernelParams.gaussian(1.0), cfg)
+
     def test_self_collisions_counted(self, k2_graph):
         Y0 = sm.Embedding(np.array([[0.0, 0.0], [1.0, 0.0]]), "external")
         cfg = sm.OptimizerConfig(

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 import scipy.linalg
 import scipy.sparse as sp
 
 import spectramap as sm
 from spectramap import fuzzy, spectra
 from spectramap.errors import ConfigurationError, EigensolverError, GraphStructureError
-from spectramap.spectra import (
-    DENSE_MAX_N,
-    NULL_SPACE_TOL,
-    random_orthonormal_frame,
-)
+from spectramap.equivalence import random_connected_graph
+from spectramap.spectra import NULL_SPACE_TOL, random_orthonormal_frame
 
 from conftest import random_similarity_graph
 
@@ -159,7 +157,8 @@ def _two_copies(V):
 
 @pytest.fixture(scope="module")
 def sparse_path_graphs():
-    """Graphs above the dense cutoff, with their component counts."""
+    """Graphs of a few hundred to two thousand vertices, with their component
+    counts."""
     blobs = sm.build_similarity_graph(
         sm.gen_blobs(150, [(0.0, 0.0), (3.0, 0.0)], 1.0, 0).data, 15
     )
@@ -188,7 +187,7 @@ class TestSparseSpectralInit:
     @pytest.mark.parametrize("d", [2, 3])
     def test_matches_dense_eigh(self, sparse_path_graphs, name, d):
         V, components = sparse_path_graphs[name]
-        assert V.n > DENSE_MAX_N and V.components[0] == components
+        assert V.components[0] == components
         sol = sm.spectral_init(V, d)
         Ln = sm.build_laplacians(V).normalized
         vals, vecs = scipy.linalg.eigh(Ln.toarray())
@@ -230,16 +229,80 @@ class TestSparseSpectralInit:
         edge = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         triangle = sp.csr_matrix(np.ones((3, 3)) - np.eye(3))
         V = sm.SimilarityGraph.from_sparse(sp.block_diag([edge] * 130 + [triangle]).tocsr())
-        assert V.n > DENSE_MAX_N
         sol = sm.spectral_init(V, d)
         assert sol.n_null == 131
         np.testing.assert_allclose(sol.values, [1.5, 1.5, 2.0, 2.0][:d], atol=1e-12)
         assert sol.residual <= 1e-8
 
-    def test_dense_path_reports_residual(self, two_blob_graph):
-        assert two_blob_graph.n <= DENSE_MAX_N
-        sol = sm.spectral_init(two_blob_graph, 2)
-        assert 0.0 <= sol.residual <= 1e-8
+    @pytest.mark.parametrize("sizes, d, value", [
+        ((12, 14), 1, 14 / 13), ((27, 30, 2), 4, 30 / 29), ((100, 160), 2, 160 / 159),
+    ])
+    def test_block_narrower_than_a_repeated_eigenvalue(self, sizes, d, value):
+        # unit cliques: the lowest non-null eigenvalue n/(n-1) of the largest
+        # clique repeats more often than the block has columns, and the next
+        # one is less than 0.02 above it
+        V = sm.SimilarityGraph.from_dense(
+            scipy.linalg.block_diag(*[np.ones((s, s)) - np.eye(s) for s in sizes])
+        )
+        sol = sm.spectral_init(V, d)
+        np.testing.assert_allclose(sol.values, [value] * d, rtol=1e-12)
+        assert sol.residual <= 1e-8
+
+
+def _component(kind, size, rng):
+    """Dense adjacency of one connected graph on ``size`` >= 2 vertices."""
+    if kind == "weighted":
+        return random_connected_graph(size, rng).matrix.toarray()
+    A = np.zeros((size, size))
+    if kind == "bipartite":
+        # a random tree, plus random edges between its even and odd depths
+        parent = [int(rng.integers(0, i)) for i in range(1, size)]
+        depth = [0]
+        for i, j in enumerate(parent, start=1):
+            A[i, j] = A[j, i] = rng.uniform(0.2, 1.0)
+            depth.append(depth[j] + 1)
+        odd = np.array(depth) % 2 == 1
+        extra = np.triu(odd[:, None] != odd[None, :], 1) & (rng.random((size, size)) < 0.3)
+        A[extra] = rng.uniform(0.2, 1.0, int(extra.sum()))
+        return np.maximum(A, A.T)
+    # unit weights: repeated eigenvalues within and across components
+    if kind == "complete":
+        A[:] = 1.0
+    elif kind == "star":
+        A[0, 1:] = A[1:, 0] = 1.0
+    else:  # cycle
+        for i in range(size):
+            A[i, (i + 1) % size] = A[(i + 1) % size, i] = 1.0
+    np.fill_diagonal(A, 0.0)
+    return A
+
+
+@st.composite
+def small_spectral_cases(draw):
+    """A graph of at most 60 vertices, made of components that are weighted,
+    bipartite or unit-weight, with its component count and a feasible d."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(["weighted", "bipartite", "complete", "star", "cycle"])
+    blocks, left = [], 60
+    while left >= 2 and (not blocks or draw(st.booleans())):
+        size = draw(st.integers(2, min(left, 30)))
+        blocks.append(_component(draw(kinds), size, rng))
+        left -= size
+    V = sm.SimilarityGraph.from_dense(scipy.linalg.block_diag(*blocks))
+    d = draw(st.integers(1, min(V.n - len(blocks), 6)))
+    return V, len(blocks), d
+
+
+class TestSmallSpectralInit:
+    @settings(max_examples=200, deadline=None)
+    @given(small_spectral_cases())
+    def test_matches_dense_eigvalsh(self, case):
+        V, components, d = case
+        sol = sm.spectral_init(V, d)
+        assert sol.n_null == components
+        vals = scipy.linalg.eigvalsh(sm.build_laplacians(V).normalized.toarray())
+        assert np.abs(sol.values - vals[components : components + d]).max() <= 1e-10
+        assert sol.residual <= 1e-8
 
 
 class TestNcutRelaxation:
