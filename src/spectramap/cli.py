@@ -177,15 +177,6 @@ def _resolve_kernel(args) -> tuple[KernelParams, dict]:
     return KernelParams.cauchy(a, b), info
 
 
-def _reject_nan_settings(args) -> None:
-    """Every float setting must be a number, also one the chosen path never
-    reads: run.json echoes it, and a NaN there is not JSON."""
-    nan = [k for k, v in sorted(vars(args).items()) if isinstance(v, float) and np.isnan(v)]
-    if nan:
-        flags = ", ".join("--" + k.replace("_", "-") for k in nan)
-        raise ConfigurationError(f"{flags} must not be NaN")
-
-
 def cmd_embed(args) -> int:
     try:
         ds = _make_dataset(args)
@@ -211,10 +202,12 @@ def cmd_embed(args) -> int:
     except ConfigurationError as exc:
         print(f"error [optimizer]: {exc}", file=sys.stderr)
         return 2
-    try:
-        _reject_nan_settings(args)
-    except ConfigurationError as exc:
-        print(f"error [config]: {exc}", file=sys.stderr)
+    # every float setting must be a number, also one the chosen path never
+    # reads: run.json echoes it, and a NaN there is not JSON
+    nan = [k for k, v in sorted(vars(args).items()) if isinstance(v, float) and np.isnan(v)]
+    if nan:
+        flags = ", ".join("--" + k.replace("_", "-") for k in nan)
+        print(f"error [config]: {flags} must not be NaN", file=sys.stderr)
         return 2
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -329,6 +322,10 @@ def main(argv: list[str] | None = None) -> int:
         except ConfigurationError as exc:
             print(f"error [config]: {exc}", file=sys.stderr)
             return 2
+    if args.seed < 0:
+        # numpy's generators take only non-negative seeds
+        print("error [config]: --seed must be >= 0", file=sys.stderr)
+        return 2
     try:
         return COMMANDS[args.command](args)
     except OSError as exc:

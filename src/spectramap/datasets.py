@@ -105,18 +105,9 @@ def gen_two_moons(n: int, noise: float, seed: int) -> LabeledDataset:
     return LabeledDataset(DataMatrix(pts), labels)
 
 
-def _floats(cells: list[str]) -> list[float] | None:
-    """Every cell as a float, or None when one is not a number."""
-    try:
-        return [float(cell) for cell in cells]
-    except ValueError:
-        return None
-
-
-def _stripped_floats(cells: list[str], path: Path, line_no: int) -> list[float]:
+def _row_floats(cells: list[str], path: Path, line_no: int) -> list[float]:
     """The cells stripped and parsed one at a time, raising at the first that
-    is not a number. float() rejects the separators U+001C to U+001F, which
-    str.strip() removes, so a row can fail ``_floats`` and pass here."""
+    is not a number."""
     values = []
     for c, cell in enumerate(cells):
         cell = cell.strip()
@@ -132,20 +123,23 @@ def _stripped_floats(cells: list[str], path: Path, line_no: int) -> list[float]:
 def load_csv(path, has_labels: bool = False) -> LabeledDataset:
     """Load a rectangular numeric CSV, optionally with a final integer label column.
 
-    A header row is auto-detected when the first row contains any non-numeric
-    cell. Each cell is parsed once; a row with a non-numeric cell is parsed
-    again, stripped, to find that cell. Rows and columns in error messages
-    are 1-based file positions.
+    Read as UTF-8, without a byte-order mark. Row 1 is a header when float()
+    rejects one of its cells unstripped (a cell padded with U+001C..U+001F
+    parses only stripped); data cells are parsed stripped. Labels must be
+    integers in the int64 range. Rows and columns in error messages are
+    1-based file positions.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         raw = [row for row in csv.reader(fh)]
     raw = [row for row in raw if row and any(cell.strip() for cell in row)]
     if not raw:
         raise ParseError(f"{path}: empty file")
-    parsed = [_floats(row) for row in raw]
-
-    start = 0 if parsed[0] is not None else 1  # 1: header row
+    try:
+        [float(cell) for cell in raw[0]]
+        start = 0
+    except ValueError:
+        start = 1  # a header row
 
     width = len(raw[start]) if start < len(raw) else 0
     rows = []
@@ -157,13 +151,12 @@ def load_csv(path, has_labels: bool = False) -> LabeledDataset:
             raise ParseError(
                 f"{path}: row {line_no} has {len(row)} fields, expected {width}"
             )
-        values = parsed[r] if parsed[r] is not None else _stripped_floats(row, path, line_no)
+        values = _row_floats(row, path, line_no)
         if has_labels:
             lab = values.pop()
-            if not lab.is_integer():
-                raise ParseError(
-                    f"{path}: row {line_no}, column {width}: label must be an integer"
-                )
+            if not (lab.is_integer() and -(2.0**63) <= lab < 2.0**63):
+                raise ParseError(f"{path}: row {line_no}, column {width}: label must "
+                                 "be an integer in the int64 range")
             labels.append(int(lab))
         rows.append(values)
 

@@ -90,18 +90,8 @@ class EquivalenceReport:
             "residual": self.residual,
             "tolerance": self.tolerance,
             "passed": self.passed,
-            "context": {k: _jsonable(v) for k, v in self.context.items()},
+            "context": dict(self.context),
         }
-
-
-def _jsonable(v):
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    return v
 
 
 def claim_rng(master_seed: int, claim: str) -> np.random.Generator:

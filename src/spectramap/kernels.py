@@ -147,7 +147,10 @@ def grad_log_one_minus_phi_rows(diff: np.ndarray, p: KernelParams, eps: float) -
     s = np.where(zero, 1.0, s)
     if p.family == "gaussian":
         u = s / (2.0 * p.tau)
-        coef = 2.0 * (u / np.expm1(u)) / (s + eps)
+        # expm1 overflows to inf past u ~ 709, where u / expm1(u) -> 0 is
+        # already the exact limit, so the overflow is no error
+        with np.errstate(over="ignore"):
+            coef = 2.0 * (u / np.expm1(u)) / (s + eps)
     else:
         coef = 2.0 * p.b * (1.0 / (s + eps) - p.a * s ** (p.b - 1.0) / (1.0 + p.a * s**p.b))
     return np.where(zero[:, None], 0.0, coef[:, None] * diff)

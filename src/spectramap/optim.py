@@ -108,25 +108,17 @@ class EdgeSampler:
         self.weights = w
         self.prob, self.alias = _build_alias_table(w)
 
-    def sample_edges(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Indices into the undirected edge list, drawn ~ weight."""
-        m = self.prob.size
-        slot = rng.integers(0, m, size=size)
-        accept = rng.random(size) < self.prob[slot]
-        return np.where(accept, slot, self.alias[slot])
-
-    def sample_ordered_pairs(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """(anchor, partner) pairs: weighted edge plus a fair orientation coin."""
-        idx = self.sample_edges(rng, size)
-        flip = rng.integers(0, 2, size=size).astype(bool)
-        pairs = self.endpoints[idx]
-        return np.where(flip[:, None], pairs[:, ::-1], pairs)
-
     def draw_events(self, rng: np.random.Generator, size: int, n_neg: int) -> tuple:
-        """``size`` negative-sampling events: (anchors, partners, negs), the
-        ordered pairs drawn first and then the (size, n_neg) uniform negative
-        vertices, in that stream order; a negative may be its own anchor."""
-        pairs = self.sample_ordered_pairs(rng, size)
+        """``size`` negative-sampling events (anchors, partners, negs), drawn
+        from one stream in this order: alias slots and their acceptance
+        uniforms (an edge ~ weight), fair orientation coins, then the
+        (size, n_neg) uniform negatives row by row; a negative may be its own
+        anchor."""
+        slot = rng.integers(0, self.prob.size, size=size)
+        accept = rng.random(size) < self.prob[slot]
+        pairs = self.endpoints[np.where(accept, slot, self.alias[slot])]
+        flip = rng.integers(0, 2, size=size).astype(bool)
+        pairs = np.where(flip[:, None], pairs[:, ::-1], pairs)
         negs = rng.integers(0, self.n, size * n_neg).reshape(size, n_neg)
         return pairs[:, 0], pairs[:, 1], negs
 

@@ -124,12 +124,8 @@ class SpectralSolution:
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude entry of each column positive (first on ties)."""
-    out = vecs.copy()
-    for c in range(out.shape[1]):
-        lead = np.argmax(np.abs(out[:, c]))
-        if out[lead, c] < 0:
-            out[:, c] = -out[:, c]
-    return out
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    return np.where(lead < 0, -vecs, vecs)
 
 
 def _filtered_subspace(

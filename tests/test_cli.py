@@ -20,10 +20,18 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
-def run_child(code):
-    """Run ``python -c code`` against this package in a fresh process."""
+def run_child(code, *options):
+    """Run ``python *options -c code`` against this package in a fresh process."""
     env = dict(os.environ, PYTHONPATH=str(Path(sm.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *options, "-c", code], capture_output=True,
+                          text=True, env=env)
+
+
+def run_main_child(args, *options):
+    """``cli.main(args)`` in a fresh process, its return value the exit code."""
+    args = [str(a) for a in args]
+    return run_child(f"import sys, spectramap.cli; sys.exit(spectramap.cli.main({args!r}))",
+                     *options)
 
 
 class TestGenData:
@@ -267,6 +275,20 @@ class TestEmbed:
                          out.stderr, re.M)
         assert not (tmp_path / "run.json").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ("--tau", "0.01"),
+        ("--tau", "0.001"),
+        ("--tau", "0.01", "--init", "random"),
+    ])
+    def test_far_gaussian_pairs_warn_nothing(self, tmp_path, flags):
+        # with tau this small most negative pairs overflow expm1 in the
+        # repulsive gradient, whose limit there is exactly 0
+        out = run_main_child(["embed", "--gen", "blobs", "--n", 60, "--k", 5, "--kernel",
+                              "gaussian", *flags, "--epochs", 3, "--out-dir", tmp_path],
+                             "-W", "error")
+        assert out.returncode == 0
+        assert out.stderr == ""
+
     def test_out_dir_that_is_a_file_is_a_named_error(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("")
@@ -430,6 +452,30 @@ class TestCsvOutput:
             assert len(floats) == 3
             assert all(repr(float(cell)) == cell for cell in floats)
             assert label in ("0", "1")
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--out-dir", "{out}"],
+    ["gen-data", "--gen", "moons", "--n", 20, "--out", "{out}"],
+    ["embed", "--gen", "moons", "--n", 40, "--k", 5, "--out-dir", "{out}"],
+    ["embed", "--input", "{csv}", "--k", 5, "--epochs", 2, "--out-dir", "{out}"],
+    ["embed", "--config", "{config}", "--gen", "moons", "--n", 40, "--k", 5,
+     "--out-dir", "{out}"],
+])
+def test_negative_seed_is_a_config_error(tmp_path, command):
+    csv = tmp_path / "points.csv"
+    sm.save_csv(sm.gen_two_moons(40, 0.05, 0), csv)
+    config = tmp_path / "seed.conf"
+    config.write_text("seed=-1\n")
+    out = tmp_path / "out"
+    args = [str(a).format(out=out, csv=csv, config=config) for a in command]
+    if "--config" not in args:
+        args += ["--seed", "-1"]
+    child = run_main_child(args)
+    assert child.returncode == 2
+    assert "error [config]: --seed must be >= 0" in child.stderr
+    assert "Traceback" not in child.stderr
+    assert not out.exists()
 
 
 def test_cli_import_loads_no_scipy_solvers(tmp_path):

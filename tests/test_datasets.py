@@ -162,6 +162,27 @@ class TestCsvRoundTrip:
         f.write_text(f"1,{token}\n1,2\n3,4\n")
         assert sm.load_csv(f).data.n == (2 if header else 3)
 
+    @pytest.mark.parametrize("text,n", [
+        ("1.0,2.0\n3.0,4.0\n5.0,6.0\n", 3),
+        ("x0,x1\n1.0,2.0\n3.0,4.0\n", 2),
+    ])
+    def test_byte_order_mark_is_not_a_header(self, tmp_path, text, n):
+        # float() rejects a leading U+FEFF, so a kept mark turns row 1 into a header
+        f = tmp_path / "bom.csv"
+        f.write_text(text, encoding="utf-8-sig")
+        assert f.read_bytes().startswith(b"\xef\xbb\xbf")
+        ds = sm.load_csv(f)
+        assert ds.data.n == n
+        assert ds.data.points[0].tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("token", ["1e300", "9223372036854775808"])
+    def test_label_outside_int64_rejected(self, tmp_path, token):
+        f = tmp_path / "lab.csv"
+        f.write_text(f"x0,label\n1.0,0\n2.0,{token}\n3.0,1\n")
+        with pytest.raises(ParseError, match="row 3, column 2: label must be an integer "
+                                             "in the int64 range"):
+            sm.load_csv(f, has_labels=True)
+
     def test_write_then_load_reproduces_coordinates(self, tmp_path):
         ds = sm.gen_blobs(20, [(0, 0, 0), (5, 5, 5)], 1.3, 11)
         f = tmp_path / "roundtrip.csv"

@@ -147,9 +147,9 @@ class TestExpectedLossMonteCarlo:
         Y = np.random.default_rng(5).uniform(-1, 1, size=(V.n, 2))
         p = sm.KernelParams.cauchy()
         rng = np.random.default_rng(6)
-        pairs = eq.EdgeSampler(V).sample_ordered_pairs(rng, 50)
+        anchors, partners, _ = eq.EdgeSampler(V).draw_events(rng, 50, 0)
         negs = rng.integers(0, V.n, 50 * 3).reshape(50, 3)
-        whole = eq.step_losses(Y, pairs[:, 0], pairs[:, 1], negs, p)
+        whole = eq.step_losses(Y, anchors, partners, negs, p)
         monkeypatch.setattr(eq, "MC_SLICE", 7)
         sliced = eq.mc_step_losses(V, Y, p, 3, 50, np.random.default_rng(6))
         assert np.array_equal(sliced, whole)
@@ -179,11 +179,11 @@ class TestExpectedLossMonteCarlo:
         vec = eq.mc_step_losses(V, Y, p, n_neg, n_draws, np.random.default_rng(77))
         sampler = sm.EdgeSampler(V)
         rng2 = np.random.default_rng(77)
-        pairs = sampler.sample_ordered_pairs(rng2, n_draws)
+        anchors, partners, _ = sampler.draw_events(rng2, n_draws, 0)
         negs = rng2.integers(0, V.n, n_draws * n_neg).reshape(n_draws, n_neg)
         scalar = np.array(
             [
-                stochastic_step_loss(pairs[s, 0], pairs[s, 1], negs[s], Y, p)
+                stochastic_step_loss(anchors[s], partners[s], negs[s], Y, p)
                 for s in range(n_draws)
             ]
         )

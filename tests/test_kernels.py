@@ -150,6 +150,12 @@ class TestRepulsiveGradient:
         farg = grad_log_one_minus_phi_rows(np.array([[30.0, 0.0]]), pg, 0.0)[0]
         assert np.linalg.norm(farg) < 1e-10
 
+    def test_far_gaussian_pair_is_zero_without_warning(self):
+        # u = s / (2 tau) = 5000 overflows expm1; u / expm1(u) takes its limit 0
+        p = sm.KernelParams.gaussian(1.0)
+        g = grad_log_one_minus_phi_rows(np.array([[100.0, 0.0]]), p, 1e-3)
+        assert g.tolist() == [[0.0, 0.0]]
+
     def test_coincident_points_zero(self):
         y = np.array([0.5, 0.5])
         g = grad_log_one_minus_phi_rows((y - y)[None, :], sm.KernelParams.cauchy(1.9, 0.79), 1e-3)[0]

@@ -37,6 +37,16 @@ def numpy_scalar_alias_table(weights):
     return prob, alias
 
 
+def drawn_edges(sampler, rng, size):
+    """The undirected edges of ``size`` events drawn with no negatives, as
+    indices into ``sampler.endpoints``."""
+    anchors, partners, _ = sampler.draw_events(rng, size, 0)
+    lookup = np.full((sampler.n, sampler.n), -1)
+    i, j = sampler.endpoints.T
+    lookup[i, j] = lookup[j, i] = np.arange(i.size)
+    return lookup[anchors, partners]
+
+
 alias_weights = st.one_of(
     # equal weights, one dominant weight, and log-uniform ratios up to 1e12
     st.tuples(st.integers(1, 60), st.floats(1e-6, 1e6)).map(lambda t: [t[1]] * t[0]),
@@ -60,7 +70,7 @@ class TestAliasTable:
     def test_single_edge_always_drawn(self, k2_graph):
         sampler = EdgeSampler(k2_graph)
         rng = np.random.default_rng(0)
-        idx = sampler.sample_edges(rng, 1000)
+        idx = drawn_edges(sampler, rng, 1000)
         assert np.all(idx == 0)
 
     def test_two_to_one_ratio(self):
@@ -70,14 +80,14 @@ class TestAliasTable:
         V = sm.SimilarityGraph.from_dense(dense)
         sampler = EdgeSampler(V)
         rng = np.random.default_rng(1)
-        idx = sampler.sample_edges(rng, 1_000_000)
+        idx = drawn_edges(sampler, rng, 1_000_000)
         frac = (idx == 0).mean()
         assert abs(frac - 2.0 / 3.0) < 0.01
 
     def test_chi_square_on_pipeline_graph(self, two_blob_graph):
         sampler = EdgeSampler(two_blob_graph)
         rng = np.random.default_rng(2)
-        draws = sampler.sample_edges(rng, 1_000_000)
+        draws = drawn_edges(sampler, rng, 1_000_000)
         counts = np.bincount(draws, minlength=sampler.weights.size)
         expected = sampler.weights / sampler.weights.sum() * draws.size
         _, pvalue = stats.chisquare(counts, expected)
@@ -86,8 +96,8 @@ class TestAliasTable:
     def test_orientations_balanced(self, k2_graph):
         sampler = EdgeSampler(k2_graph)
         rng = np.random.default_rng(3)
-        pairs = sampler.sample_ordered_pairs(rng, 100_000)
-        frac = (pairs[:, 0] == 0).mean()
+        anchors, _, _ = sampler.draw_events(rng, 100_000, 0)
+        frac = (anchors == 0).mean()
         assert abs(frac - 0.5) < 0.01
 
     def test_alias_table_probabilities_normalized(self):
@@ -110,10 +120,22 @@ class TestNegativeSampling:
         sampler = EdgeSampler(two_blob_graph)
         anchors, partners, negs = sampler.draw_events(np.random.default_rng(6), 500, 3)
         rng = np.random.default_rng(6)
-        pairs = sampler.sample_ordered_pairs(rng, 500)
-        assert np.array_equal(anchors, pairs[:, 0])
-        assert np.array_equal(partners, pairs[:, 1])
+        anchors0, partners0, _ = sampler.draw_events(rng, 500, 0)
+        assert np.array_equal(anchors, anchors0)
+        assert np.array_equal(partners, partners0)
         assert np.array_equal(negs, rng.integers(0, two_blob_graph.n, 1500).reshape(500, 3))
+
+    def test_stream_pinned(self):
+        # values recorded from the sampler before its draws were folded
+        # into draw_events; any change to the stream changes every seeded run
+        dense = np.zeros((4, 4))
+        for i, j, w in [(0, 1, 0.5), (1, 2, 1.0), (2, 3, 0.25), (0, 3, 0.75), (0, 2, 0.125)]:
+            dense[i, j] = dense[j, i] = w
+        sampler = EdgeSampler(sm.SimilarityGraph.from_dense(dense))
+        anchors, partners, negs = sampler.draw_events(np.random.default_rng(0), 8, 2)
+        assert anchors.tolist() == [1, 3, 3, 1, 2, 1, 1, 0]
+        assert partners.tolist() == [2, 0, 0, 2, 1, 0, 0, 1]
+        assert negs.tolist() == [[0, 3], [0, 2], [0, 1], [1, 1], [1, 0], [0, 0], [0, 2], [2, 2]]
 
 
 class TestInitEmbedding:
@@ -279,11 +301,11 @@ class TestExpectationLink:
         n_neg = 5
         sampler = EdgeSampler(V)
         n_samples = 20_000
-        pairs = sampler.sample_ordered_pairs(rng, n_samples)
+        anchors, partners, _ = sampler.draw_events(rng, n_samples, 0)
         negs = rng.integers(0, V.n, n_samples * n_neg).reshape(n_samples, n_neg)
         losses = np.array(
             [
-                stochastic_step_loss(pairs[s, 0], pairs[s, 1], negs[s], Y, p)
+                stochastic_step_loss(anchors[s], partners[s], negs[s], Y, p)
                 for s in range(n_samples)
             ]
         )
@@ -330,14 +352,14 @@ def sequential_reference(V, Y0, p, cfg):
     step_stats = []
     for epoch in range(cfg.n_epochs):
         alpha = cfg.initial_lr * (1.0 - epoch / cfg.n_epochs)
-        pairs = sampler.sample_ordered_pairs(rng, n_samples)
+        anchors, partners, _ = sampler.draw_events(rng, n_samples, 0)
         negs = rng.integers(0, n, n_samples * cfg.n_neg).reshape(
             n_samples, cfg.n_neg
         ) if cfg.n_neg else np.empty((n_samples, 0), dtype=np.int64)
         cut = coords = 0
         losses = []
         for s in range(n_samples):
-            a, b = pairs[s]
+            a, b = anchors[s], partners[s]
             losses.append(stochastic_step_loss(a, b, negs[s], Y, p))
             grad = grad_log_phi_rows((Y[a] - Y[b])[None, :], p)[0]
             cut += int(np.sum(np.abs(grad) > cfg.clip))
