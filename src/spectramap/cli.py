@@ -3,6 +3,11 @@
 Flag values override an optional key=value config file (--config) whose keys
 are the subcommand's flag names; every effective value is echoed into the
 run's JSON report so results reproduce from the report alone.
+
+A failed run ends with one line, ``error [stage]: …``, printed by ``main``,
+and exits 2; each stage names the exceptions it reports through ``_stage``.
+Outputs are written only once every stage has returned, so a run that fails
+in a stage leaves no output directory or file behind.
 """
 
 from __future__ import annotations
@@ -11,12 +16,14 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import equivalence
-from .datasets import DataMatrix, LabeledDataset, gen_blobs, gen_two_moons, load_csv, save_csv
+from .datasets import (DataMatrix, LabeledDataset, gen_blobs, gen_two_moons, load_csv,
+                       read_utf8, save_csv)
 from .errors import ConfigurationError, KernelFitError, ParseError
 from .fuzzy import directed_weights, smooth_knn_params, symmetrize
 from .kernels import KernelParams, fit_ab
@@ -24,6 +31,19 @@ from .knn import knn_search
 from .optim import OptimizerConfig, optimize, random_embedding, spectral_embedding
 from .spectra import spectral_init
 from .svgplot import svg_scatter
+
+
+class _Failed(Exception):
+    """A stage's failure, already worded as the ``error [stage]: …`` line."""
+
+
+@contextmanager
+def _stage(tag: str, *kinds: type[BaseException]):
+    """Turn an exception of ``kinds`` raised in the block into ``_Failed``."""
+    try:
+        yield
+    except kinds as exc:
+        raise _Failed(f"error [{tag}]: {exc}") from exc
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -98,9 +118,10 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
 
 def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
     """Parse argv again with the `key=value` lines of --config placed before
-    the command line's own flags, so the flags still win."""
+    the command line's own flags, so the flags still win. A file that is not
+    UTF-8 text is a ``ParseError``."""
     try:
-        text = Path(args.config).read_text()
+        text = read_utf8(args.config)
     except OSError as exc:
         raise ConfigurationError(f"cannot read {args.config}: {exc.strerror}") from exc
     tokens = []
@@ -145,7 +166,13 @@ def _make_dataset(args) -> LabeledDataset:
 
 
 def _effective_config(args) -> dict:
-    # strict JSON has no infinity: an infinite setting is written as "inf" or "-inf"
+    """Every setting as run.json echoes it. Every float setting must be a
+    number, also one the chosen path never reads, since a NaN is not JSON;
+    strict JSON has no infinity either, so one is written as "inf" or "-inf"."""
+    nan = [k for k, v in sorted(vars(args).items()) if isinstance(v, float) and math.isnan(v)]
+    if nan:
+        flags = ", ".join("--" + k.replace("_", "-") for k in nan)
+        raise ConfigurationError(f"{flags} must not be NaN")
     return {
         k: str(v) if isinstance(v, float) and math.isinf(v) else v
         for k, v in sorted(vars(args).items()) if k != "command"
@@ -153,11 +180,8 @@ def _effective_config(args) -> dict:
 
 
 def cmd_gen_data(args) -> int:
-    try:
+    with _stage("datasets", ConfigurationError, ParseError, OSError):
         ds = _make_dataset(args)
-    except (ConfigurationError, ParseError, OSError) as exc:
-        print(f"error [datasets]: {exc}", file=sys.stderr)
-        return 2
     save_csv(ds, args.out)
     print(f"wrote {ds.data.n} points x {ds.data.dim} dims to {args.out}")
     return 0
@@ -178,17 +202,11 @@ def _resolve_kernel(args) -> tuple[KernelParams, dict]:
 
 
 def cmd_embed(args) -> int:
-    try:
+    with _stage("datasets", Exception):
         ds = _make_dataset(args)
-    except Exception as exc:
-        print(f"error [datasets]: {exc}", file=sys.stderr)
-        return 2
-    try:
+    with _stage("kernel", ConfigurationError, KernelFitError):
         kernel, fit_info = _resolve_kernel(args)
-    except (ConfigurationError, KernelFitError) as exc:
-        print(f"error [kernel]: {exc}", file=sys.stderr)
-        return 2
-    try:
+    with _stage("optimizer", ConfigurationError):
         cfg = OptimizerConfig(
             n_epochs=args.epochs,
             n_neg=args.neg,
@@ -199,37 +217,23 @@ def cmd_embed(args) -> int:
             move_other=args.move_other,
             samples_per_epoch=args.samples_per_epoch,
         )
-    except ConfigurationError as exc:
-        print(f"error [optimizer]: {exc}", file=sys.stderr)
-        return 2
-    # every float setting must be a number, also one the chosen path never
-    # reads: run.json echoes it, and a NaN there is not JSON
-    nan = [k for k, v in sorted(vars(args).items()) if isinstance(v, float) and np.isnan(v)]
-    if nan:
-        flags = ", ".join("--" + k.replace("_", "-") for k in nan)
-        print(f"error [config]: {flags} must not be NaN", file=sys.stderr)
-        return 2
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
+    with _stage("config", ConfigurationError):
+        config = _effective_config(args)
+    with _stage(f"graph, k={args.k}", Exception):
         knn = knn_search(ds.data, args.k)
         calibration = smooth_knn_params(knn)
         V = symmetrize(directed_weights(knn, calibration))
-    except Exception as exc:
-        print(f"error [graph, k={args.k}]: {exc}", file=sys.stderr)
-        return 2
     sol = None
-    try:
+    with _stage(f"optimizer, init={args.init}", Exception):
         if args.init == "spectral":
             sol = spectral_init(V, args.dim)
             Y0 = spectral_embedding(sol)
         else:
             Y0 = random_embedding(V.n, args.dim, args.seed)
         result = optimize(V, Y0, kernel, cfg)
-    except Exception as exc:
-        print(f"error [optimizer, init={args.init}]: {exc}", file=sys.stderr)
-        return 2
 
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     coords = result.embedding.coords
     save_csv(LabeledDataset(DataMatrix(coords), ds.labels), out_dir / "embedding.csv",
              prefix="y")
@@ -243,7 +247,7 @@ def cmd_embed(args) -> int:
 
     deg = V.degrees()
     report = {
-        "config": _effective_config(args),
+        "config": config,
         "kernel": {"family": kernel.family, "a": kernel.a, "b": kernel.b,
                    "tau": kernel.tau, **fit_info},
         "n": ds.data.n,
@@ -268,15 +272,12 @@ def cmd_embed(args) -> int:
 
 def cmd_verify(args) -> int:
     claims = args.claims.split(",") if args.claims else None
-    try:
+    with _stage("verify", ConfigurationError):
         result = equivalence.run_suite(
             master_seed=args.seed,
             claims=claims,
             n_draws=args.draws,
         )
-    except ConfigurationError as exc:
-        print(f"error [verify]: {exc}", file=sys.stderr)
-        return 2
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(result.to_json() + "\n")
@@ -295,11 +296,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fit_ab(args) -> int:
-    try:
+    with _stage("kernel", ConfigurationError, KernelFitError):
         fit = fit_ab(args.min_dist)
-    except (ConfigurationError, KernelFitError) as exc:
-        print(f"error [kernel]: {exc}", file=sys.stderr)
-        return 2
     print(f"min_dist={fit.min_dist} a={fit.fitted_a:.6f} b={fit.fitted_b:.6f} "
           f"rmse={fit.fit_rmse:.6e}")
     return 0
@@ -316,22 +314,19 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
-    if args.config:
-        try:
-            args = _apply_config_file(args, argv)
-        except ConfigurationError as exc:
-            print(f"error [config]: {exc}", file=sys.stderr)
-            return 2
-    if args.seed < 0:
-        # numpy's generators take only non-negative seeds
-        print("error [config]: --seed must be >= 0", file=sys.stderr)
-        return 2
     try:
-        return COMMANDS[args.command](args)
-    except OSError as exc:
-        # every input is read inside a command's own error handling, so an
-        # OSError that reaches here came from writing an output
-        print(f"error [output]: {exc}", file=sys.stderr)
+        with _stage("config", ConfigurationError, ParseError):
+            if args.config:
+                args = _apply_config_file(args, argv)
+            if args.seed < 0:
+                # numpy's generators take only non-negative seeds
+                raise ConfigurationError("--seed must be >= 0")
+        # every input is read inside a command's own stage, so an OSError
+        # that reaches here came from writing an output
+        with _stage("output", OSError):
+            return COMMANDS[args.command](args)
+    except _Failed as exc:
+        print(exc, file=sys.stderr)
         return 2
 
 

@@ -8,6 +8,7 @@ algorithm, so fixtures are stable within this implementation.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -120,19 +121,30 @@ def _row_floats(cells: list[str], path: Path, line_no: int) -> list[float]:
     return values
 
 
+def read_utf8(path) -> str:
+    """The file's text; a byte sequence that is not UTF-8 is a ``ParseError``
+    naming the file and the byte's offset."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: byte 0x{data[exc.start]:02x} "
+                         f"at offset {exc.start}") from None
+
+
 def load_csv(path, has_labels: bool = False) -> LabeledDataset:
     """Load a rectangular numeric CSV, optionally with a final integer label column.
 
-    Read as UTF-8, without a byte-order mark. Row 1 is a header when float()
-    rejects one of its cells unstripped (a cell padded with U+001C..U+001F
-    parses only stripped); data cells are parsed stripped. Labels must be
-    integers in the int64 range. Rows and columns in error messages are
-    1-based file positions.
+    Read as UTF-8, without a byte-order mark; a file that is not UTF-8 is a
+    ``ParseError``. Row 1 is a header when float() rejects one of its cells
+    unstripped (a cell padded with U+001C..U+001F parses only stripped); data
+    cells are parsed stripped. Labels must be integers in the int64 range.
+    Rows and columns in error messages are 1-based file positions.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        raw = [row for row in csv.reader(fh)]
-    raw = [row for row in raw if row and any(cell.strip() for cell in row)]
+    text = read_utf8(path).removeprefix("\ufeff")
+    raw = [row for row in csv.reader(io.StringIO(text, newline=""))
+           if row and any(cell.strip() for cell in row)]
     if not raw:
         raise ParseError(f"{path}: empty file")
     try:

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .datasets import DataMatrix
+from .datasets import DataMatrix, read_utf8
 from .errors import ConfigurationError, GraphStructureError, ParseError
 from .knn import KnnGraph, knn_search
 
@@ -327,12 +327,12 @@ class SimilarityGraph:
     def load_edge_list(cls, path) -> "SimilarityGraph":
         """Inverse of ``save_edge_list``; errors name the 1-based line.
 
-        Raises ``ParseError`` for a bad header, a line without exactly three
-        fields or a non-numeric field, and ``GraphStructureError`` for an
-        index outside [0, n), a self-loop, a weight outside [0, 1] or an edge
-        given twice (in either orientation).
+        Raises ``ParseError`` for a file that is not UTF-8 text, a bad header,
+        a line without exactly three fields or a non-numeric field, and
+        ``GraphStructureError`` for an index outside [0, n), a self-loop, a
+        weight outside [0, 1] or an edge given twice (in either orientation).
         """
-        lines = Path(path).read_text().splitlines()
+        lines = read_utf8(path).splitlines()
         header = lines[0].strip() if lines else ""
         try:
             n = int(header)

@@ -107,10 +107,6 @@ class KnnGraph:
     k: int
     exact_evals: int
 
-    @property
-    def n(self) -> int:
-        return self.indices.shape[0]
-
 
 def row_blocks(n: int):
     """Consecutive (start, stop) row ranges whose n-column float64 block takes

@@ -91,10 +91,6 @@ class Embedding:
     def n(self) -> int:
         return self.coords.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[1]
-
 
 class EdgeSampler:
     """Alias-table sampler of undirected edges with probability ~ weight."""
@@ -299,6 +295,9 @@ def _run_wave(
     return losses, cut
 
 
+# the finiteness checks below report an overflow as OptimizationError; numpy's
+# warnings would only repeat it, and errstate governs warnings alone
+@np.errstate(over="ignore", invalid="ignore")
 def optimize(
     V: SimilarityGraph,
     Y0: Embedding,

@@ -73,6 +73,18 @@ class TestGenData:
         assert "error [datasets]" in err and "41" in err and "2" in err
         assert not (out / "run.json").exists()
 
+    @pytest.mark.parametrize("command", [["gen-data", "--out", "{out}"],
+                                         ["embed", "--has-labels", "--out-dir", "{out}"]])
+    def test_undecodable_csv_names_the_file(self, tmp_path, command):
+        csv = tmp_path / "latin1.csv"
+        csv.write_bytes(b"x0,label\n1.0,0\n2.0,1\n3.0,0\xff\n")
+        out = tmp_path / "out"
+        child = run_main_child([command[0], "--input", csv,
+                                *(str(a).format(out=out) for a in command[1:])])
+        assert child.returncode == 2
+        assert child.stderr == f"error [datasets]: {csv}: not UTF-8 text: byte 0xff at offset 26\n"
+        assert not out.exists()
+
     def test_missing_output_directory_is_a_named_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"
         assert run_cli("gen-data", "--gen", "moons", "--out", out) == 2
@@ -271,8 +283,9 @@ class TestEmbed:
                 *flags, "--out-dir", str(tmp_path)]
         out = run_child(f"import sys, spectramap.cli; sys.exit(spectramap.cli.main({args!r}))")
         assert out.returncode == 2
-        assert re.search(r"^error \[optimizer, init=spectral\]: non-finite .* at epoch \d",
-                         out.stderr, re.M)
+        # the named error alone: the overflow it reports prints no numpy warning
+        assert re.fullmatch(r"error \[optimizer, init=spectral\]: non-finite .* at epoch \d+\n",
+                            out.stderr)
         assert not (tmp_path / "run.json").exists()
 
     @pytest.mark.parametrize("flags", [
@@ -476,6 +489,41 @@ def test_negative_seed_is_a_config_error(tmp_path, command):
     assert "error [config]: --seed must be >= 0" in child.stderr
     assert "Traceback" not in child.stderr
     assert not out.exists()
+
+
+MOONS = ["--gen", "moons", "--n", 40]
+
+
+@pytest.mark.parametrize("command, tag", [
+    (["embed", *MOONS, "--config", "{config}", "--out-dir", "{out}"], "config"),
+    (["fit-ab", "--config", "{csv}"], "config"),
+    (["gen-data", "--input", "{csv}", "--out", "{out}"], "datasets"),
+    (["fit-ab", "--min-dist", 5], "kernel"),
+    (["embed", *MOONS, "--k", 1, "--out-dir", "{out}"], "graph, k=1"),
+    (["embed", *MOONS, "--dim", 500, "--out-dir", "{out}"], "optimizer, init=spectral"),
+    (["embed", *MOONS, "--k", 5, "--epochs", 3, "--lr", "1e300", "--out-dir", "{out}"],
+     "optimizer, init=spectral"),
+    (["verify", "--claims", "nope", "--out-dir", "{out}"], "verify"),
+    (["embed", *MOONS, "--k", 5, "--epochs", 2, "--out-dir", "{taken}"], "output"),
+], ids=["bad-setting", "config-not-utf8", "csv-not-utf8", "min-dist", "k", "dim", "lr",
+        "claim", "out-dir-is-file"])
+def test_one_failure_route(tmp_path, command, tag):
+    """Every stage fails the same way: exit 2, ``error [tag]: …`` as the last
+    line of stderr, no traceback or warning, and no output path created."""
+    csv = tmp_path / "latin1.csv"
+    csv.write_bytes(b"x0,x1\n1.0,2.0\n3.0,4.0\n5.0,\xff6.0\n")
+    config = tmp_path / "bad.conf"
+    config.write_text("k=abc\n")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = tmp_path / "out"
+    child = run_main_child([str(a).format(out=out, csv=csv, config=config, taken=taken)
+                            for a in command])
+    assert child.returncode == 2
+    assert child.stderr.splitlines()[-1].startswith(f"error [{tag}]: ")
+    assert "Traceback" not in child.stderr and "Warning" not in child.stderr
+    assert not out.exists()
+    assert taken.is_file() and taken.read_text() == ""
 
 
 def test_cli_import_loads_no_scipy_solvers(tmp_path):

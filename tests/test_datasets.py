@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,14 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match="row 3, column 2: label must be an integer "
                                              "in the int64 range"):
             sm.load_csv(f, has_labels=True)
+
+    def test_undecodable_byte_is_a_parse_error(self, tmp_path):
+        # the offset counts from the file's first byte, byte-order mark included
+        f = tmp_path / "latin1.csv"
+        f.write_bytes(b"\xef\xbb\xbfx0,x1\n1,2\n\xff3,4\n5,6\n")
+        with pytest.raises(ParseError, match=re.escape(f"{f}: not UTF-8 text: byte 0xff "
+                                                       "at offset 13")):
+            sm.load_csv(f)
 
     def test_write_then_load_reproduces_coordinates(self, tmp_path):
         ds = sm.gen_blobs(20, [(0, 0, 0), (5, 5, 5)], 1.3, 11)

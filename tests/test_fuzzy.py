@@ -205,6 +205,12 @@ class TestEdgeListErrors:
         V = self._load(tmp_path, "3\n0 1 0.3\n1 2 0.5\n")
         assert V.matrix[0, 1] == V.matrix[1, 0] == 0.3
 
+    def test_undecodable_byte_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "graph.txt"
+        path.write_bytes(b"3\n0 1 0.3\n\xfe\n")
+        with pytest.raises(ParseError, match="graph.txt: not UTF-8 text: byte 0xfe at offset 10"):
+            sm.SimilarityGraph.load_edge_list(path)
+
     @pytest.mark.parametrize("header", ["", "three", "2.5", "0"])
     def test_bad_header(self, tmp_path, header):
         with pytest.raises(ParseError, match="line 1"):

@@ -258,6 +258,14 @@ class TestOptimize:
             with pytest.raises(OptimizationError, match="non-finite loss inf at epoch 0"):
                 sm.optimize(k2_graph, Y0, sm.KernelParams.gaussian(1.0), cfg)
 
+    def test_overflow_raises_without_a_warning(self, k2_graph):
+        # warnings are errors under pytest, so a numpy overflow warning
+        # would surface here in place of the named error
+        Y0 = sm.Embedding(np.array([[0.0, 0.0], [1e200, 0.0]]), "external")
+        cfg = sm.OptimizerConfig(n_epochs=1, n_neg=1, seed=0, samples_per_epoch=5)
+        with pytest.raises(OptimizationError, match="at epoch 0"):
+            sm.optimize(k2_graph, Y0, sm.KernelParams.gaussian(1.0), cfg)
+
     def test_self_collisions_counted(self, k2_graph):
         Y0 = sm.Embedding(np.array([[0.0, 0.0], [1.0, 0.0]]), "external")
         cfg = sm.OptimizerConfig(
