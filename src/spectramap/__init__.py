@@ -52,9 +52,8 @@ from .losses import (
     attractive_term,
     cross_entropy_loss,
     expected_sgd_loss,
-    laplacian_comparison,
+    first_order,
     step_losses,
-    taylor_error_bound,
 )
 from .optim import (
     EdgeSampler,

@@ -258,8 +258,8 @@ def cmd_embed(args) -> int:
         "calibration": {"flagged_rows": int(calibration.flagged.sum()),
                         "max_residual": float(calibration.residual.max())},
         "self_collisions": result.self_collisions,
-        "initial_total": result.trace[0].loss.total if result.trace[0].loss else None,
-        "final_total": result.trace[-1].loss.total if result.trace[-1].loss else None,
+        "initial_total": result.trace[0].loss.total,
+        "final_total": result.trace[-1].loss.total,
     }
     if sol is not None:
         report["spectral"] = {"values": sol.values.tolist(), "n_null": sol.n_null,

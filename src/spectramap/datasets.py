@@ -143,8 +143,11 @@ def load_csv(path, has_labels: bool = False) -> LabeledDataset:
     """
     path = Path(path)
     text = read_utf8(path).removeprefix("\ufeff")
-    raw = [row for row in csv.reader(io.StringIO(text, newline=""))
-           if row and any(cell.strip() for cell in row)]
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        raw = [row for row in reader if row and any(cell.strip() for cell in row)]
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if not raw:
         raise ParseError(f"{path}: empty file")
     try:

@@ -18,9 +18,10 @@ held, and the attraction and give-back run over the stored edges with the
 lengths of ``spectra.edge_sq_lengths``. Every attraction log is the closed-form
 ``log_phi``, finite at any distance for both kernel families, so for the
 Gaussian kernel the attraction equals (1/tau) * tr(Y^T L Y) identically at
-every scale; for the heavy-tailed kernel with b = 1 it equals
-2a * tr(Y^T L Y) up to a curvature error whose bound ``taylor_error_bound``
-computes. Only the repulsion clamps its log (see ``LOG_CLAMP``).
+every scale; for the heavy-tailed kernel it lies below the p-Laplacian
+energy a * sum w s^b (p = 2b; 2a * tr(Y^T L Y) at b = 1) by at most a
+curvature bound. ``first_order`` computes the form and the bound for both
+families. Only the repulsion clamps its log (see ``LOG_CLAMP``).
 ``expected_sgd_loss`` is the per-epoch expectation of the negative-sampling
 estimator: positives weighted by v_ab, negatives uniform over vertices with
 the degree-weighted prefactor n_neg/n, which is deg @ r.
@@ -42,7 +43,7 @@ from .errors import ConfigurationError
 from .fuzzy import SimilarityGraph
 from .kernels import KernelParams, log_phi, one_minus_phi
 from .knn import block_sq_dists, row_block_buffers, sq_norms
-from .spectra import edge_sq_lengths, laplacian_quadratic
+from .spectra import edge_sq_lengths
 
 # Floor under 1 - phi in the repulsion logs, which are -inf at coincident
 # points. The attraction never clamps: it uses the closed-form log_phi.
@@ -78,10 +79,11 @@ def repel_row_sums(Y: np.ndarray, p: KernelParams) -> np.ndarray:
 class LossReport:
     """Loss decomposition for one embedding state.
 
-    ``laplacian_form`` is c * tr(Y^T L Y) with c = 1/tau (gaussian) or 2a
-    (cauchy with b = 1) and is None for kernel shapes where no quadratic
-    form corresponds to the attraction; ``taylor_bound`` likewise exists
-    only for the cauchy b = 1 case.
+    ``laplacian_form`` and ``taylor_bound`` are ``first_order``'s form and
+    bound: the form is the Laplacian form c * tr(Y^T L Y) for the gaussian
+    kernel (c = 1/tau) and the cauchy kernel at b = 1 (c = 2a), and the
+    p-Laplacian energy with p = 2b at any other b; the bound is None for
+    the gaussian kernel, whose attraction equals its form.
     """
 
     total: float
@@ -97,57 +99,39 @@ def attractive_term(V: SimilarityGraph, Y: np.ndarray, p: KernelParams) -> float
     return -float(w @ log_phi(s, p))
 
 
-def _laplacian_constant(p: KernelParams) -> float | None:
-    if p.family == "gaussian":
-        return 1.0 / p.tau
-    if p.b == 1.0:
-        return 2.0 * p.a
-    return None
-
-
-def laplacian_comparison(
+def first_order(
     V: SimilarityGraph, Y: np.ndarray, p: KernelParams
-) -> tuple[float, float, float]:
-    """The attraction, its quadratic-form counterpart c * tr(Y^T L Y), and their gap.
+) -> tuple[float, float, float | None]:
+    """The attraction, its first-order form, and the bound on their gap.
 
-    The two numbers come from independent code paths: the attraction sums
-    closed-form kernel logs edge by edge, the quadratic form sums weighted
-    squared edge lengths.
+    Sums run over ordered stored edges with squared lengths s. For the
+    gaussian kernel -log phi = s / (2 tau), so the attraction equals the
+    form (1/tau) * tr(Y^T L Y) and the bound is None. For the cauchy kernel
+    -log phi = log(1 + x) with x = a * s^b, and x - x^2/2 <= log(1 + x) <= x,
+    so the attraction lies below the form a * sum w s^b by at most the bound
+    (a^2 / 2) * sum w s^{2b}. The form is the graph p-Laplacian energy with
+    p = 2b (Bühler & Hein, ICML 2009); at b = 1 it is 2a * tr(Y^T L Y). The
+    attraction comes from ``attractive_term``'s closed-form logs, a route
+    independent of the form's.
     """
-    c = _laplacian_constant(p)
-    if c is None:
-        raise ConfigurationError(
-            "no quadratic form corresponds to the cauchy kernel with b != 1"
-        )
-    att = attractive_term(V, Y, p)
-    lap = c * laplacian_quadratic(V, Y)
-    return att, lap, abs(att - lap)
-
-
-def taylor_error_bound(V: SimilarityGraph, Y: np.ndarray, a: float) -> float:
-    """(a^2 / 2) * sum_{i != j} v_ij ||y_i - y_j||^4 over ordered pairs."""
+    attract = attractive_term(V, Y, p)
     w, s = edge_sq_lengths(V, Y)
-    return 0.5 * a * a * float(w @ (s * s))
+    if p.family == "gaussian":
+        return attract, (1.0 / p.tau) * (0.5 * float(w @ s)), None
+    sb = s**p.b
+    return attract, p.a * float(w @ sb), 0.5 * p.a * p.a * float(w @ (sb * sb))
 
 
 def cross_entropy_loss(V: SimilarityGraph, Y: np.ndarray, p: KernelParams) -> LossReport:
     """Full cross-entropy over all ordered pairs, with its decomposition."""
-    attract = attractive_term(V, Y, p)
+    attract, form, bound = first_order(V, Y, p)
     w, s = edge_sq_lengths(V, Y)
     repel = float(repel_row_sums(Y, p).sum()) + float(w @ repel_logs(s, p))
-
-    c = _laplacian_constant(p)
-    lap = c * laplacian_quadratic(V, Y) if c is not None else None
-    bound = (
-        taylor_error_bound(V, Y, p.a)
-        if p.family == "cauchy_ab" and p.b == 1.0
-        else None
-    )
     return LossReport(
         total=attract + repel,
         attract=attract,
         repel=repel,
-        laplacian_form=lap,
+        laplacian_form=form,
         taylor_bound=bound,
     )
 

@@ -341,7 +341,7 @@ def optimize(
     collisions = 0
     for epoch in range(cfg.n_epochs):
         started = time.perf_counter()
-        alpha = cfg.initial_lr * (1.0 - epoch / cfg.n_epochs)
+        alpha = trace[-1].alpha  # the schedule at this epoch, as record() set it
         anchors, partners, negs = sampler.draw_events(rng, n_samples, cfg.n_neg)
         live = negs != anchors[:, None]
         n_live = int(np.count_nonzero(live))

@@ -73,7 +73,6 @@ def build_laplacians(V: SimilarityGraph) -> LaplacianPair:
         raise GraphStructureError(
             f"vertex {bad[0]} is isolated (degree 0); normalized Laplacian undefined"
         )
-    n = V.n
     D = sp.diags(deg)
     L = (D - V.matrix).tocsr()
     inv_sqrt = sp.diags(1.0 / np.sqrt(deg))

@@ -537,3 +537,18 @@ def test_cli_import_loads_no_scipy_solvers(tmp_path):
         out = run_child(f"import spectramap.cli, sys; {run}"
                         f"print([m for m in {heavy!r} if m in sys.modules])")
         assert out.returncode == 0 and out.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("command", ["gen-data", "embed"])
+def test_oversized_csv_field_is_a_parse_error(tmp_path, command):
+    """A field longer than ``csv.field_size_limit()`` ends as ``error
+    [datasets]:`` naming the file and line, with no traceback."""
+    path = tmp_path / "long.csv"
+    path.write_text("x0,x1\n1.0,2.0\n3.0," + "4" * 200_000 + "\n")
+    out = tmp_path / "out"
+    child = run_main_child([command, "--input", path,
+                            "--out" if command == "gen-data" else "--out-dir", out])
+    assert child.returncode == 2
+    assert child.stderr.splitlines()[-1].startswith(f"error [datasets]: {path}: line 3: ")
+    assert "Traceback" not in child.stderr
+    assert not out.exists()

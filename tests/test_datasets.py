@@ -193,6 +193,14 @@ class TestCsvRoundTrip:
                                                        "at offset 13")):
             sm.load_csv(f)
 
+    def test_oversized_field_is_a_parse_error(self, tmp_path):
+        # the line counts the file's lines, the blank one included
+        f = tmp_path / "long.csv"
+        f.write_text("x0,x1\n1,2\n\n3," + "4" * 200_000 + "\n")
+        with pytest.raises(ParseError, match=re.escape(f"{f}: line 4: field larger than "
+                                                       "field limit")):
+            sm.load_csv(f)
+
     def test_write_then_load_reproduces_coordinates(self, tmp_path):
         ds = sm.gen_blobs(20, [(0, 0, 0), (5, 5, 5)], 1.3, 11)
         f = tmp_path / "roundtrip.csv"

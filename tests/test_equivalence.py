@@ -266,7 +266,9 @@ class TestSuite:
         assert "gaussian" in table
         assert "kernelized" in table
         assert "1st-order" in table
-        assert "no quadratic form" in table
+        kr = result.kernelized
+        gap = abs(kr["attract"] - kr["form"]) / abs(kr["attract"])
+        assert f"a sum w s^b (p=2b)         kernelized   {gap:.3e}" in table
 
     def test_claim_table_order_and_independent_streams(self):
         full = eq.run_suite(master_seed=42, n_draws=2000)

@@ -11,6 +11,7 @@ from spectramap import knn, losses
 from spectramap.equivalence import pipeline_graph
 from spectramap.errors import ConfigurationError
 from spectramap.losses import LOG_CLAMP
+from spectramap.spectra import edge_sq_lengths
 
 from conftest import random_similarity_graph, stochastic_step_loss
 
@@ -146,8 +147,9 @@ class TestCrossEntropyLoss:
         body = json.loads(json.dumps(asdict(rep)))
         assert set(body) == {"total", "attract", "repel", "laplacian_form",
                              "taylor_bound"}
-        assert body["laplacian_form"] is None  # b != 1: no quadratic form
-        assert body["taylor_bound"] is None
+        _, form, bound = sm.first_order(k2_graph, Y, sm.KernelParams.cauchy(1.9, 0.8))
+        assert body["laplacian_form"] == form
+        assert body["taylor_bound"] == bound
 
 
 class TestLaplacianComparison:
@@ -158,10 +160,8 @@ class TestLaplacianComparison:
             V = random_similarity_graph(n, rng)
             Y = rng.uniform(-0.5, 0.5, size=(n, int(rng.integers(1, 6))))
             tau = float(rng.choice([0.5, 1.0, 2.0]))
-            att, lap, gap = sm.laplacian_comparison(
-                V, Y, sm.KernelParams.gaussian(tau)
-            )
-            assert gap <= 1e-10 * abs(att)
+            att, form, _ = sm.first_order(V, Y, sm.KernelParams.gaussian(tau))
+            assert abs(att - form) <= 1e-10 * abs(att)
 
     def test_gaussian_exact_at_spectral_init_scale(self):
         # spectral init rescales to max-abs 10, where exp(-s / 2 tau) falls
@@ -170,10 +170,8 @@ class TestLaplacianComparison:
         Y = sm.spectral_embedding(sm.spectral_init(V, 2)).coords
         assert np.abs(Y).max() == pytest.approx(10.0)
         for tau in (0.5, 1.0, 2.0):
-            att, lap, gap = sm.laplacian_comparison(
-                V, Y, sm.KernelParams.gaussian(tau)
-            )
-            assert gap <= 1e-10 * abs(att)
+            att, form, _ = sm.first_order(V, Y, sm.KernelParams.gaussian(tau))
+            assert abs(att - form) <= 1e-10 * abs(att)
 
     def test_cauchy_small_distance_ratio(self):
         # every stored edge at squared length 0.01: ratio log(1.01)/0.01
@@ -182,33 +180,22 @@ class TestLaplacianComparison:
             dense[i, i + 1] = dense[i + 1, i] = 0.8
         V = sm.SimilarityGraph.from_dense(dense)
         Y = (np.arange(4) * 0.1)[:, None]
-        att, lap, _ = sm.laplacian_comparison(V, Y, sm.KernelParams.cauchy(1.0, 1.0))
+        att, lap, _ = sm.first_order(V, Y, sm.KernelParams.cauchy(1.0, 1.0))
         assert 0.99 <= att / lap <= 1.0
 
     def test_constant_embedding_both_zero(self, p3_graph):
         Y = np.ones((3, 2))
-        att, lap, gap = sm.laplacian_comparison(
-            p3_graph, Y, sm.KernelParams.gaussian(1.0)
-        )
-        assert att == lap == gap == 0.0
-
-    def test_general_b_rejected(self, p3_graph):
-        with pytest.raises(ConfigurationError):
-            sm.laplacian_comparison(
-                p3_graph, np.zeros((3, 1)), sm.KernelParams.cauchy(1.9, 0.79)
-            )
+        att, lap, _ = sm.first_order(p3_graph, Y, sm.KernelParams.gaussian(1.0))
+        assert att == lap == 0.0
 
 
 class TestTaylorBound:
     def test_single_edge_value(self, k2_graph):
         # ||y_0 - y_1||^2 = 0.48; both ordered orientations contribute
         Y = np.array([[0.0], [np.sqrt(0.48)]])
-        bound = sm.taylor_error_bound(k2_graph, Y, a=1.0)
+        att, lap, bound = sm.first_order(k2_graph, Y, sm.KernelParams.cauchy(1.0, 1.0))
         np.testing.assert_allclose(bound, 2.0 * 0.48**2 / 2.0, rtol=1e-12)
-        att, lap, gap = sm.laplacian_comparison(
-            k2_graph, Y, sm.KernelParams.cauchy(1.0, 1.0)
-        )
-        assert gap <= bound
+        assert abs(att - lap) <= bound
 
     def test_per_edge_relative_error_below_quarter(self):
         # t = 0.48 is the upper end of the typical inter-neighbor range
@@ -219,7 +206,7 @@ class TestTaylorBound:
         assert rel < 0.25
 
     def test_constant_embedding_zero(self, p3_graph):
-        assert sm.taylor_error_bound(p3_graph, np.ones((3, 2)), 2.0) == 0.0
+        assert sm.first_order(p3_graph, np.ones((3, 2)), sm.KernelParams.cauchy(2.0))[2] == 0.0
 
     def test_bound_dominates_gap_on_random_instances(self):
         rng = np.random.default_rng(25)
@@ -228,8 +215,57 @@ class TestTaylorBound:
             V = random_similarity_graph(n, rng)
             Y = rng.standard_normal((n, 2)) * float(rng.uniform(0.05, 1.0))
             a = float(rng.uniform(0.5, 2.0))
-            _, _, gap = sm.laplacian_comparison(V, Y, sm.KernelParams.cauchy(a, 1.0))
-            assert gap <= sm.taylor_error_bound(V, Y, a) + 1e-12
+            att, lap, bound = sm.first_order(V, Y, sm.KernelParams.cauchy(a, 1.0))
+            assert abs(att - lap) <= bound + 1e-12
+
+
+@st.composite
+def first_order_cases(draw):
+    """A random weighted graph on 3 to 39 vertices and a Gaussian Y in 1 to 4
+    dimensions, scaled by 1e-4 to 30."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 39))
+    scale = 10.0 ** draw(st.floats(-4.0, float(np.log10(30.0))))
+    return random_similarity_graph(n, rng), scale * rng.standard_normal((n, draw(st.integers(1, 4))))
+
+
+class TestFirstOrderRule:
+    @settings(max_examples=300, deadline=None)
+    @given(first_order_cases(), st.floats(0.1, 5.0), st.floats(0.3, 2.0))
+    def test_attraction_within_bound_below_form(self, case, a, b):
+        """0 <= form - attraction <= bound at every b, up to rounding.
+
+        Both routes read the same squared lengths s and powers s^b, so the
+        rule holds exactly for the terms x = a s^b they compute. Each of the
+        three sums is a dot product of nnz nonnegative terms, each rounded a
+        few times, so it is within (nnz + 4) eps of itself, relative. A bound
+        term at x <= 2 is at most the form's term; past x = 2 it exceeds the
+        gap's term by more than half of itself. So the computed difference
+        is within 2 (nnz + 4) eps (|attraction| + |form|) <= 10 nnz eps (...)
+        of a difference that obeys the rule, and 16 nnz eps leaves room for
+        the few ulps of pow and log1p.
+        """
+        V, Y = case
+        att, form, bound = sm.first_order(V, Y, sm.KernelParams.cauchy(a, b))
+        tol = 16 * V.nnz * np.finfo(np.float64).eps * (abs(att) + abs(form))
+        assert -tol <= form - att <= bound + tol
+
+    @settings(max_examples=300, deadline=None)
+    @given(first_order_cases(), st.floats(0.1, 5.0))
+    def test_b1_is_the_laplacian_form_bit_for_bit(self, case, a):
+        V, Y = case
+        _, form, bound = sm.first_order(V, Y, sm.KernelParams.cauchy(a, 1.0))
+        w, s = edge_sq_lengths(V, Y)
+        assert form == 2 * a * sm.laplacian_quadratic(V, Y)
+        assert bound == 0.5 * a * a * float(w @ (s * s))
+
+    @settings(max_examples=300, deadline=None)
+    @given(first_order_cases(), st.floats(0.1, 10.0))
+    def test_gaussian_is_the_laplacian_form_bit_for_bit(self, case, tau):
+        V, Y = case
+        _, form, bound = sm.first_order(V, Y, sm.KernelParams.gaussian(tau))
+        assert form == (1.0 / tau) * sm.laplacian_quadratic(V, Y)
+        assert bound is None
 
 
 class TestExpectedSgdLoss:
@@ -352,7 +388,7 @@ class TestPairwiseSqDists:
 class TestRowCountCheck:
     @pytest.mark.parametrize("loss", [
         lambda V, Y: sm.attractive_term(V, Y, sm.KernelParams.cauchy()),
-        lambda V, Y: sm.taylor_error_bound(V, Y, 1.0),
+        lambda V, Y: sm.first_order(V, Y, sm.KernelParams.cauchy()),
         lambda V, Y: sm.expected_sgd_loss(V, Y, sm.KernelParams.cauchy(), 5),
         lambda V, Y: sm.cross_entropy_loss(V, Y, sm.KernelParams.gaussian(1.0)),
     ])
