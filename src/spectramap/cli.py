@@ -24,7 +24,8 @@ import numpy as np
 from . import equivalence
 from .datasets import (DataMatrix, LabeledDataset, gen_blobs, gen_two_moons, load_csv,
                        read_utf8, save_csv)
-from .errors import ConfigurationError, KernelFitError, ParseError
+from .errors import (ConfigurationError, EigensolverError, GraphStructureError, KernelFitError,
+                     OptimizationError, ParseError)
 from .fuzzy import directed_weights, smooth_knn_params, symmetrize
 from .kernels import KernelParams, fit_ab
 from .knn import knn_search
@@ -149,6 +150,10 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> argparse.Na
 def _make_dataset(args) -> LabeledDataset:
     if args.input:
         return load_csv(args.input, has_labels=args.has_labels)
+    # numpy rejects an array past the address space with a bare ValueError
+    dim = 2 if args.gen == "moons" else args.data_dim
+    if args.n * dim > np.iinfo(np.intp).max // 8:
+        raise ConfigurationError(f"--n ({args.n}) points in {dim} dims exceed the address space")
     if args.gen == "moons":
         return gen_two_moons(args.n, args.noise, args.seed)
     if args.gen == "blobs":
@@ -180,7 +185,7 @@ def _effective_config(args) -> dict:
 
 
 def cmd_gen_data(args) -> int:
-    with _stage("datasets", ConfigurationError, ParseError, OSError):
+    with _stage("datasets", ConfigurationError, ParseError, OSError, MemoryError):
         ds = _make_dataset(args)
     save_csv(ds, args.out)
     print(f"wrote {ds.data.n} points x {ds.data.dim} dims to {args.out}")
@@ -202,7 +207,7 @@ def _resolve_kernel(args) -> tuple[KernelParams, dict]:
 
 
 def cmd_embed(args) -> int:
-    with _stage("datasets", Exception):
+    with _stage("datasets", ConfigurationError, ParseError, OSError, MemoryError):
         ds = _make_dataset(args)
     with _stage("kernel", ConfigurationError, KernelFitError):
         kernel, fit_info = _resolve_kernel(args)
@@ -219,12 +224,13 @@ def cmd_embed(args) -> int:
         )
     with _stage("config", ConfigurationError):
         config = _effective_config(args)
-    with _stage(f"graph, k={args.k}", Exception):
+    with _stage(f"graph, k={args.k}", ConfigurationError, GraphStructureError, MemoryError):
         knn = knn_search(ds.data, args.k)
         calibration = smooth_knn_params(knn)
         V = symmetrize(directed_weights(knn, calibration))
     sol = None
-    with _stage(f"optimizer, init={args.init}", Exception):
+    with _stage(f"optimizer, init={args.init}", ConfigurationError, GraphStructureError,
+                EigensolverError, OptimizationError, MemoryError):
         if args.init == "spectral":
             sol = spectral_init(V, args.dim)
             Y0 = spectral_embedding(sol)

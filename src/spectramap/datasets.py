@@ -144,24 +144,27 @@ def load_csv(path, has_labels: bool = False) -> LabeledDataset:
     path = Path(path)
     text = read_utf8(path).removeprefix("\ufeff")
     reader = csv.reader(io.StringIO(text, newline=""))
+    raw = []  # (first file line, cells) of each row that is not blank
     try:
-        raw = [row for row in reader if row and any(cell.strip() for cell in row)]
+        line_no = 1
+        for row in reader:
+            if any(cell.strip() for cell in row):
+                raw.append((line_no, row))
+            line_no = reader.line_num + 1
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if not raw:
         raise ParseError(f"{path}: empty file")
     try:
-        [float(cell) for cell in raw[0]]
+        [float(cell) for cell in raw[0][1]]
         start = 0
     except ValueError:
         start = 1  # a header row
 
-    width = len(raw[start]) if start < len(raw) else 0
+    width = len(raw[start][1]) if start < len(raw) else 0
     rows = []
     labels = []
-    for r in range(start, len(raw)):
-        row = raw[r]
-        line_no = r + 1
+    for line_no, row in raw[start:]:
         if len(row) != width:
             raise ParseError(
                 f"{path}: row {line_no} has {len(row)} fields, expected {width}"

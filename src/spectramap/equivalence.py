@@ -6,11 +6,11 @@ fuzzy graph), computes one quantity along two independent routes, and
 reports the measured residual against a fixed tolerance. Claim ids:
 
     thm3.1a          Gaussian attraction == (1/tau) tr(Y^T L Y), exactly
-    thm3.1b          Cauchy (b=1) attraction -> 2a tr(Y^T L Y) as scales shrink
+    thm3.1b          Cauchy attraction -> a sum w s^b (2a tr(Y^T L Y) at b=1) as scales shrink
     thm3.1c          spectral layout minimizes the normalized trace objective
     eq13_montecarlo  sampled step losses average to the expected epoch loss
     lemmaA1          edge-sum and matrix forms of the quadratic identity agree
-    eq20_bound       the curvature bound dominates the measured linearization gap
+    eq20_bound       the curvature bound dominates the Cauchy attraction's gap to a sum w s^b
     a3_relaxation    (L, D) generalized eigenpairs map onto normalized ones
 
 ``run_suite`` runs them in the order thm3.1a, thm3.1b, eq20_bound, thm3.1c,
@@ -21,6 +21,7 @@ stream, keyed by the claim's place in ``CLAIM_IDS`` (the order above).
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -173,25 +174,25 @@ def _scaled_instance(n, d, scale, seed):
 
 
 def check_cauchy_first_order(
-    n: int, d: int, a: float, scale: float, seed
+    n: int, d: int, p: KernelParams, scale: float, seed
 ) -> EquivalenceReport:
-    """Relative gap between Cauchy (b=1) attraction and 2a tr(Y^T L Y).
+    """Relative gap between the Cauchy attraction and its form a sum w s^b.
 
-    The embedding is rescaled so every edge's squared length is at most
-    ``scale``; the gap must then fall below a*scale (it behaves like
-    a*scale/2 for small scales).
+    Y is rescaled so every edge has s <= ``scale``, so x = a s^b <= X =
+    a scale^b; the gap is then at most (X/2) form, and the relative gap at
+    most (X/2) / (1 - X/2) <= X, the tolerance, while X <= 1.
     """
     V, Y = _scaled_instance(n, d, scale, seed)
-    att, form, _ = first_order(V, Y, KernelParams.cauchy(a=a, b=1.0))
+    att, form, _ = first_order(V, Y, p)
     residual = abs(att - form) / abs(att)
     return EquivalenceReport(
         claim="thm3.1b",
         residual=residual,
-        tolerance=a * scale,
+        tolerance=p.a * scale**p.b,
         context={
             "n": V.n,
             "d": d,
-            "kernel": "cauchy(a=%g, b=1)" % a,
+            "kernel": "cauchy(a=%g, b=%g)" % (p.a, p.b),
             "scale": scale,
             "seed": str(seed),
         },
@@ -199,11 +200,11 @@ def check_cauchy_first_order(
 
 
 def check_taylor_bound(
-    n: int, d: int, a: float, scale: float, seed
+    n: int, d: int, p: KernelParams, scale: float, seed
 ) -> EquivalenceReport:
-    """The measured linearization gap divided by its curvature bound (< 1)."""
+    """The Cauchy kernel's measured first-order gap over its curvature bound (< 1)."""
     V, Y = _scaled_instance(n, d, scale, seed)
-    att, form, bound = first_order(V, Y, KernelParams.cauchy(a=a, b=1.0))
+    att, form, bound = first_order(V, Y, p)
     gap = abs(att - form)
     residual = gap / bound if bound > 0 else (0.0 if gap == 0 else np.inf)
     return EquivalenceReport(
@@ -213,7 +214,7 @@ def check_taylor_bound(
         context={
             "n": V.n,
             "d": d,
-            "kernel": "cauchy(a=%g, b=1)" % a,
+            "kernel": "cauchy(a=%g, b=%g)" % (p.a, p.b),
             "scale": scale,
             "gap": gap,
             "bound": bound,
@@ -396,14 +397,12 @@ def check_ncut_relaxation(n_graphs: int, seed) -> EquivalenceReport:
 
 @dataclass
 class SuiteResult:
-    """The claim reports, thm3.1b's descriptive row for the fitted kernel
-    (``first_order``'s attraction, form and bound; at the fitted b != 1 the
-    form is the p-Laplacian energy with p = 2b, not the Laplacian form), and
-    each claim's wall time in seconds, which differs run to run and so stays
-    out of ``to_json``."""
+    """The claim reports (thm3.1b and eq20_bound on the b = 1 kernel and on
+    ``fit_ab(0.1)``'s, whose first-order form is the p-Laplacian energy with
+    p = 2b) and each claim's wall time in seconds, which differs run to run
+    and so stays out of ``to_json``."""
 
     reports: list[EquivalenceReport]
-    kernelized: dict | None = None
     claim_wall_s: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -415,8 +414,6 @@ class SuiteResult:
             "all_passed": self.all_passed,
             "reports": [r.to_json_dict() for r in self.reports],
         }
-        if self.kernelized is not None:
-            body["kernelized_row"] = self.kernelized
         return json.dumps(body, indent=2)
 
 
@@ -429,20 +426,22 @@ def _run_thm3_1a(rng, n_draws, result):
                        for tau in (0.5, 1.0, 2.0)]
 
 
+def _cauchy_kernels():
+    """The b = 1 kernel, then the kernel ``embed`` fits at its default min-dist."""
+    fit = fit_ab(0.1)
+    return KernelParams.cauchy(1.0, 1.0), KernelParams.cauchy(fit.fitted_a, fit.fitted_b)
+
+
 def _run_thm3_1b(rng, n_draws, result):
     seeds = rng.integers(2**31, size=len(CAUCHY_SCALES))
-    result.reports += [check_cauchy_first_order(DEFAULT_N, DEFAULT_D, 1.0, scale, s)
-                       for scale, s in zip(CAUCHY_SCALES, seeds)]
-    fit = fit_ab(0.1)
-    V, Y = _scaled_instance(DEFAULT_N, DEFAULT_D, 0.1, seeds[0])
-    att, form, bound = first_order(V, Y, KernelParams.cauchy(fit.fitted_a, fit.fitted_b))
-    result.kernelized = {"a": fit.fitted_a, "b": fit.fitted_b, "attract": att,
-                         "form": form, "bound": bound}
+    result.reports += [check_cauchy_first_order(DEFAULT_N, DEFAULT_D, p, scale, s)
+                       for p in _cauchy_kernels() for scale, s in zip(CAUCHY_SCALES, seeds)]
 
 
 def _run_eq20_bound(rng, n_draws, result):
-    result.reports += [check_taylor_bound(DEFAULT_N, DEFAULT_D, 1.0, scale, rng.integers(2**31))
-                       for scale in (0.5, 0.05)]
+    seeds = rng.integers(2**31, size=2)
+    result.reports += [check_taylor_bound(DEFAULT_N, DEFAULT_D, p, scale, s)
+                       for p in _cauchy_kernels() for scale, s in zip((0.5, 0.05), seeds)]
 
 
 def _run_thm3_1c(rng, n_draws, result):
@@ -465,7 +464,7 @@ def _run_a3_relaxation(rng, n_draws, result):
     result.reports.append(check_ncut_relaxation(20, rng.integers(2**31)))
 
 
-# the suite's run order; each claim adds its reports (thm3.1b also its row) to the result
+# the suite's run order; each claim adds its reports to the result
 _CLAIM_RUNS = {
     "thm3.1a": _run_thm3_1a,
     "thm3.1b": _run_thm3_1b,
@@ -511,17 +510,12 @@ def format_table(result: SuiteResult) -> str:
             f"{'gaussian exp(-s/2tau)':<25} {'(1/tau) tr(Y^T L Y)':<26} "
             f"{'exact':<12} {worst:.3e}"
         )
-    if result.kernelized is not None:
-        kr = result.kernelized
+    for kernel in dict.fromkeys(r.context["kernel"] for r in cauchy):
+        smallest = min((r for r in cauchy if r.context["kernel"] == kernel),
+                       key=lambda r: r.context["scale"])
+        a, b = map(float, re.findall(r"=([^,)]+)", kernel))
         lines.append(
-            f"{'cauchy a=%.3f b=%.3f' % (kr['a'], kr['b']):<25} "
-            f"{'a sum w s^b (p=2b)':<26} {'kernelized':<12} "
-            f"{abs(kr['attract'] - kr['form']) / abs(kr['attract']):.3e}"
-        )
-    if cauchy:
-        smallest = min(cauchy, key=lambda r: r.context.get("scale", np.inf))
-        lines.append(
-            f"{'cauchy b=1, small dists':<25} {'2a tr(Y^T L Y)':<26} "
+            f"{'cauchy a=%.3f b=%.3f' % (a, b):<25} {'a sum w s^b (p=2b)':<26} "
             f"{'1st-order':<12} {smallest.residual:.3e}"
         )
     lines.append("")

@@ -7,7 +7,9 @@ resolve to the smaller index. Duplicate points (zero distance) are legitimate
 neighbors and are kept; only the query point itself is excluded.
 ``knn_search`` returns that ranking and those distances bit for bit, through
 one code path at every dimension D. ``sq_norms`` and ``block_sq_dists``
-hold this arithmetic for the whole package.
+hold this arithmetic for the whole package; outside the screen below, the
+one exception is the ``np.vecdot`` of the kernels' row-wise gradients,
+kept because the optimizer's trajectory is pinned to its bits.
 
 Overflow rule. Rounding is monotone, so every delta_ij is at most the same
 coordinate-order sum of (max_t - min_t)^2. ``knn_search`` computes that sum

@@ -41,6 +41,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigurationError, EigensolverError, GraphStructureError
 from .fuzzy import SimilarityGraph
+from .knn import sq_norms
 
 # the dense oracles treat eigenvalues at or below this as the zero eigenspace
 NULL_SPACE_TOL = 1e-8
@@ -86,16 +87,16 @@ def edge_sq_lengths(V: SimilarityGraph, Y: np.ndarray) -> tuple[np.ndarray, np.n
     Reads the graph's canonical edge arrays, in their row-major order, with
     both orientations of each undirected edge; no sparse matrix is built.
     Every edge-sum form (attraction, quadratic form, curvature bound) reads
-    its lengths here; rejects a Y whose row count is not the graph's vertex
-    count.
+    its lengths here, with ``knn.sq_norms``'s arithmetic, so each equals the
+    all-pairs ``knn.block_sq_dists`` at its pair bit for bit; rejects a Y
+    whose row count is not the graph's vertex count.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     if Y.shape[0] != V.n:
         raise ConfigurationError(
             f"Y has {Y.shape[0]} rows but the graph has {V.n} vertices"
         )
-    diff = Y.take(V.rows, axis=0) - Y.take(V.cols, axis=0)
-    return V.weights, np.einsum("ij,ij->i", diff, diff)
+    return V.weights, sq_norms(Y.take(V.rows, axis=0) - Y.take(V.cols, axis=0))
 
 
 def laplacian_quadratic(V: SimilarityGraph, Z: np.ndarray) -> float:

@@ -552,3 +552,39 @@ def test_oversized_csv_field_is_a_parse_error(tmp_path, command):
     assert child.stderr.splitlines()[-1].startswith(f"error [datasets]: {path}: line 3: ")
     assert "Traceback" not in child.stderr
     assert not out.exists()
+
+
+def test_unallocatable_dataset_is_a_named_error(tmp_path):
+    """An array too large to allocate ends as ``error [datasets]:``, as in
+    ``embed``, with no traceback."""
+    out = tmp_path / "x.csv"
+    child = run_main_child(["gen-data", "--gen", "moons", "--n", 10**12, "--out", out])
+    assert child.returncode == 2
+    assert child.stderr.startswith("error [datasets]: Unable to allocate")
+    assert "Traceback" not in child.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["gen-data", "--out"], ["embed", "--out-dir"]])
+@pytest.mark.parametrize("flags", [
+    ["--gen", "moons", "--n", 10**19],
+    ["--gen", "blobs", "--n", 10**10, "--clusters", 10**10, "--data-dim", 10**10],
+], ids=["moons", "blobs"])
+def test_dataset_past_the_address_space_is_a_named_error(tmp_path, capsys, command, flags):
+    out = tmp_path / "out"
+    assert run_cli(command[0], *flags, command[1], out) == 2
+    assert "error [datasets]: --n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unnamed_error_propagates(tmp_path, monkeypatch):
+    """A stage reports only the errors it names; any other is a bug and
+    leaves ``main`` as it is."""
+    def broken(*args):
+        raise RuntimeError("not a named error")
+
+    monkeypatch.setattr("spectramap.cli.knn_search", broken)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="not a named error"):
+        run_cli("embed", *MOONS, "--k", 5, "--out-dir", out)
+    assert not out.exists()

@@ -201,6 +201,17 @@ class TestCsvRoundTrip:
                                                        "field limit")):
             sm.load_csv(f)
 
+    @pytest.mark.parametrize("text,message", [
+        ("x0,x1\n1,2\n\n3,4\n5,abc\n", "row 5, column 2: not a number: 'abc'"),
+        ('x0,x1\n1,"2\n"\n3,4\n5,6,7\n', "row 5 has 3 fields, expected 2"),
+    ], ids=["blank-line", "quoted-newline"])
+    def test_errors_name_the_file_line(self, tmp_path, text, message):
+        # a blank line and a quoted field spanning two lines both count
+        f = tmp_path / "lines.csv"
+        f.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(f"{f}: {message}")):
+            sm.load_csv(f)
+
     def test_write_then_load_reproduces_coordinates(self, tmp_path):
         ds = sm.gen_blobs(20, [(0, 0, 0), (5, 5, 5)], 1.3, 11)
         f = tmp_path / "roundtrip.csv"

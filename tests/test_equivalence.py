@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spectramap as sm
 from spectramap import equivalence as eq, spectra
@@ -63,22 +64,45 @@ class TestGaussianExactness:
 
 class TestCauchyFirstOrder:
     def test_small_scale_tight(self):
-        rep = eq.check_cauchy_first_order(30, 2, 1.0, 0.001, 0)
+        rep = eq.check_cauchy_first_order(30, 2, sm.KernelParams.cauchy(1.0, 1.0), 0.001, 0)
         assert rep.passed
         assert rep.residual <= 0.001
 
     def test_residuals_shrink_with_scale(self):
         res = [
-            eq.check_cauchy_first_order(30, 2, 1.0, s, 5).residual
+            eq.check_cauchy_first_order(30, 2, sm.KernelParams.cauchy(1.0, 1.0), s, 5).residual
             for s in (0.1, 0.01, 0.001)
         ]
         assert res[0] > res[1] > res[2]
 
     def test_gap_never_exceeds_bound(self):
         for seed, scale in [(0, 0.5), (1, 0.1), (2, 0.9)]:
-            rep = eq.check_taylor_bound(25, 2, 1.3, scale, seed)
+            rep = eq.check_taylor_bound(25, 2, sm.KernelParams.cauchy(1.3, 1.0), scale, seed)
             assert rep.passed
             assert rep.context["gap"] <= rep.context["bound"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.1, 5.0), st.floats(0.3, 2.0), st.floats(-4.0, 0.0),
+           st.integers(4, 40), st.integers(1, 3), st.integers(0, 2**31 - 1))
+    def test_general_kernel_within_tolerance(self, a, b, log_x, n, d, seed):
+        # every edge then has a s^b <= X = 10**log_x, and the tolerance is X
+        scale = (10.0**log_x / a) ** (1.0 / b)
+        rep = eq.check_cauchy_first_order(n, d, sm.KernelParams.cauchy(a, b), scale, seed)
+        assert rep.tolerance == pytest.approx(10.0**log_x)
+        assert rep.passed
+
+    def test_suite_certifies_the_fitted_kernel(self):
+        # eq20 runs at scales 0.5 and 0.05 only: at tiny scales its margin
+        # 1 - gap/bound shrinks like 2X/3 and meets rounding
+        fit = sm.fit_ab(0.1)
+        kernels = ["cauchy(a=1, b=1)", "cauchy(a=%g, b=%g)" % (fit.fitted_a, fit.fitted_b)]
+        for seed in range(20):
+            result = eq.run_suite(seed, claims=["thm3.1b", "eq20_bound"])
+            assert result.all_passed
+            for claim, scales in [("thm3.1b", eq.CAUCHY_SCALES), ("eq20_bound", (0.5, 0.05))]:
+                ran = [(r.context["kernel"], r.context["scale"])
+                       for r in result.reports if r.claim == claim]
+                assert ran == [(k, s) for k in kernels for s in scales]
 
 
 class TestSpectralOptimality:
@@ -264,17 +288,21 @@ class TestSuite:
         result = eq.run_suite(master_seed=42, n_draws=20_000)
         table = eq.format_table(result)
         assert "gaussian" in table
-        assert "kernelized" in table
-        assert "1st-order" in table
-        kr = result.kernelized
-        gap = abs(kr["attract"] - kr["form"]) / abs(kr["attract"])
-        assert f"a sum w s^b (p=2b)         kernelized   {gap:.3e}" in table
+        fit = sm.fit_ab(0.1)
+        for a, b in [(1.0, 1.0), (fit.fitted_a, fit.fitted_b)]:
+            kernel = "cauchy(a=%g, b=%g)" % (a, b)
+            smallest = [r for r in result.reports
+                        if r.claim == "thm3.1b" and r.context["kernel"] == kernel][-1]
+            assert smallest.context["scale"] == 0.001
+            row = ("cauchy a=%.3f b=%.3f    a sum w s^b (p=2b)         1st-order    %.3e"
+                   % (a, b, smallest.residual))
+            assert row in table.splitlines()
 
     def test_claim_table_order_and_independent_streams(self):
         full = eq.run_suite(master_seed=42, n_draws=2000)
         assert full.all_passed
         assert [r.claim for r in full.reports] == (
-            ["thm3.1a"] * 3 + ["thm3.1b"] * 3 + ["eq20_bound"] * 2
+            ["thm3.1a"] * 3 + ["thm3.1b"] * 6 + ["eq20_bound"] * 4
             + ["thm3.1c", "eq13_montecarlo", "lemmaA1", "a3_relaxation"]
         )
         for claim in eq.CLAIM_IDS:
@@ -282,10 +310,6 @@ class TestSuite:
             assert [r.to_json_dict() for r in alone.reports] == [
                 r.to_json_dict() for r in full.reports if r.claim == claim
             ]
-            if claim == "thm3.1b":
-                assert alone.kernelized == full.kernelized
-            else:
-                assert alone.kernelized is None
 
     def test_reports_deterministic(self):
         a = eq.run_suite(master_seed=7, claims=["thm3.1a", "lemmaA1"])

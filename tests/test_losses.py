@@ -384,6 +384,15 @@ class TestPairwiseSqDists:
             for j in range(6):
                 assert S[i, j] == pytest.approx(((Y[i] - Y[j]) ** 2).sum(), rel=1e-14)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_edge_lengths_match_bit_for_bit(self, d):
+        # so the cross-entropy's edge give-back cancels the row sums' own
+        # edge terms exactly
+        V = pipeline_graph(200, 3)
+        Y = np.random.default_rng(d).standard_normal((V.n, d))
+        _, s = edge_sq_lengths(V, Y)
+        assert np.array_equal(s, all_pair_sq_dists(Y)[V.rows, V.cols])
+
 
 class TestRowCountCheck:
     @pytest.mark.parametrize("loss", [
