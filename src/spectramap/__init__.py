@@ -65,11 +65,10 @@ from .optim import (
     spectral_embedding,
 )
 from .spectra import (
-    LaplacianPair,
     SpectralSolution,
-    build_laplacians,
     laplacian_quadratic,
     ncut_relaxation_check,
+    normalized_laplacian,
     spectral_init,
 )
 

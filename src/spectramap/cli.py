@@ -278,7 +278,7 @@ def cmd_embed(args) -> int:
 
 def cmd_verify(args) -> int:
     claims = args.claims.split(",") if args.claims else None
-    with _stage("verify", ConfigurationError):
+    with _stage("verify", ConfigurationError, MemoryError):
         result = equivalence.run_suite(
             master_seed=args.seed,
             claims=claims,

@@ -35,10 +35,10 @@ from .losses import attractive_term, expected_sgd_loss, first_order, step_losses
 from .optim import SPECTRAL_MAX_ABS, EdgeSampler
 from .spectra import (
     NULL_SPACE_TOL,
-    build_laplacians,
     edge_sq_lengths,
     laplacian_quadratic,
     ncut_relaxation_check,
+    normalized_laplacian,
     random_orthonormal_frame,
     spectral_init,
 )
@@ -237,15 +237,14 @@ def check_spectral_optimality(
     if V.components[0] != 1:
         raise GraphStructureError("spectral optimality check requires a connected graph")
     sol = spectral_init(V, d)
-    pair = build_laplacians(V)
-    Ln = pair.normalized.toarray()
+    Ln = normalized_laplacian(V).toarray()
     tr_sp = float(np.sum(sol.vectors * (Ln @ sol.vectors)))
 
     vals = np.linalg.eigvalsh(Ln)
     above = vals[vals > NULL_SPACE_TOL]
     eig_sum = float(above[:d].sum())
 
-    null = np.sqrt(pair.degree)
+    null = np.sqrt(V.degrees())
     null = (null / np.linalg.norm(null))[:, None]
     rng = np.random.default_rng(seed)
     worst = -np.inf

@@ -10,8 +10,9 @@ The result is a ``SimilarityGraph(n, rows, cols, weights)``: the canonical
 edge arrays (row-major, sorted, duplicate-free) of a symmetric matrix with
 zero diagonal and weights in [0, 1], validated once with numpy. ``symmetrize``
 makes them itself, the adapters ``from_sparse`` and ``from_dense`` from a
-matrix. Edge sums read the arrays; the scipy CSR matrix is built only when
-Laplacian work first asks for it. The connected components come from a
+matrix. Edge sums read the arrays. The scipy CSR ``matrix`` is built from
+them on first use, and the degrees are its row sums, computed per call; only
+the CSR and the components are cached. The connected components come from a
 numpy hook-and-compress pass over the same arrays, so no ``scipy.sparse``
 submodule is loaded for them.
 """
@@ -197,9 +198,10 @@ class SimilarityGraph:
     makes them read-only. An explicitly stored zero stays an entry. The
     arrays are validated once: integer and canonical indices, finite weights,
     exact symmetry (W_ij == W_ji as values, a missing entry counting as 0),
-    zero diagonal and weights in [0, 1]. The scipy CSR ``matrix``, the
-    degrees and the connected components are each computed on first use and
-    kept; the graph is immutable. The adapters ``from_sparse`` (any scipy
+    zero diagonal and weights in [0, 1]. The scipy CSR ``matrix`` and the
+    connected components are each computed on first use and kept; the
+    degrees are ``matrix``'s row sums, computed per call. The graph is
+    immutable. The adapters ``from_sparse`` (any scipy
     sparse matrix, duplicates summed first) and ``from_dense`` (the nonzero
     entries of a square array, no scipy matrix built) make the arrays with
     scipy's int32 index dtype (int64 once n or nnz outgrows it) and float64
@@ -212,6 +214,8 @@ class SimilarityGraph:
     weights: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.n, (int, np.integer)) or self.n < 0:
+            raise GraphStructureError(f"vertex count must be an integer >= 0, got {self.n!r}")
         n = int(self.n)
         rows, cols = np.asarray(self.rows), np.asarray(self.cols)
         weights = np.asarray(self.weights, dtype=np.float64)
@@ -270,20 +274,10 @@ class SimilarityGraph:
         return self.weights.size
 
     @cached_property
-    def _indptr(self) -> np.ndarray:
-        # CSR row starts: row i's entries are [indptr[i], indptr[i + 1])
-        counts = np.bincount(self.rows, minlength=self.n)
-        indptr = np.zeros(self.n + 1, dtype=self.rows.dtype)
-        np.cumsum(counts, out=indptr[1:])
-        indptr.flags.writeable = False
-        return indptr
-
-    @cached_property
     def matrix(self) -> sp.csr_matrix:
         """The adjacency matrix as scipy CSR, for Laplacian and graph work."""
-        return sp.csr_matrix(
-            (self.weights, self.cols, self._indptr), shape=(self.n, self.n), copy=True
-        )
+        indptr = np.searchsorted(self.rows, np.arange(self.n + 1))
+        return sp.csr_matrix((self.weights, self.cols, indptr), shape=(self.n, self.n), copy=True)
 
     @cached_property
     def components(self) -> tuple[int, np.ndarray]:
@@ -294,18 +288,10 @@ class SimilarityGraph:
         labels.flags.writeable = False
         return count, labels
 
-    @cached_property
-    def _degrees(self) -> np.ndarray:
-        # per-row sums in stored order, as scipy's ``matrix.sum(axis=1)``
-        deg = np.zeros(self.n)
-        nonempty = np.flatnonzero(np.diff(self._indptr))
-        if nonempty.size:
-            deg[nonempty] = np.add.reduceat(self.weights, self._indptr[nonempty])
-        return deg
-
     def degrees(self) -> np.ndarray:
-        """d_i = sum_j v_ij for every vertex (a fresh copy)."""
-        return self._degrees.copy()
+        """d_i = sum_j v_ij for every vertex: ``matrix``'s row sums, computed
+        per call into a fresh array."""
+        return np.asarray(self.matrix.sum(axis=1)).ravel()
 
     def total_weight(self) -> float:
         """Sum of v_ij over ordered pairs (twice the undirected total)."""
@@ -338,8 +324,9 @@ class SimilarityGraph:
             n = int(header)
         except ValueError:
             raise ParseError(f"line 1: header must be the vertex count, got {header!r}") from None
-        if n < 1:
-            raise ParseError(f"line 1: vertex count must be >= 1, got {n}")
+        top = np.iinfo(np.intp).max
+        if not 1 <= n <= top:
+            raise ParseError(f"line 1: vertex count must be in [1, {top}], got {n}")
         seen: set[tuple[int, int]] = set()
         rows, cols, vals = [], [], []
         for lineno, line in enumerate(lines[1:], start=2):

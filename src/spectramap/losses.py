@@ -43,7 +43,7 @@ from .errors import ConfigurationError
 from .fuzzy import SimilarityGraph
 from .kernels import KernelParams, log_phi, one_minus_phi
 from .knn import block_sq_dists, row_block_buffers, sq_norms
-from .spectra import edge_sq_lengths
+from .spectra import edge_sq_lengths, laplacian_quadratic
 
 # Floor under 1 - phi in the repulsion logs, which are -inf at coincident
 # points. The attraction never clamps: it uses the closed-form log_phi.
@@ -115,9 +115,9 @@ def first_order(
     independent of the form's.
     """
     attract = attractive_term(V, Y, p)
-    w, s = edge_sq_lengths(V, Y)
     if p.family == "gaussian":
-        return attract, (1.0 / p.tau) * (0.5 * float(w @ s)), None
+        return attract, (1.0 / p.tau) * laplacian_quadratic(V, Y), None
+    w, s = edge_sq_lengths(V, Y)
     sb = s**p.b
     return attract, p.a * float(w @ sb), 0.5 * p.a * p.a * float(w @ (sb * sb))
 

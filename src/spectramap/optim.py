@@ -81,6 +81,8 @@ class Embedding:
 
     def __post_init__(self):
         coords = np.atleast_2d(np.asarray(self.coords, dtype=np.float64))
+        if coords.ndim != 2:
+            raise ConfigurationError(f"embedding coordinates must be 2-D, not {coords.shape}")
         if not np.all(np.isfinite(coords)):
             raise ConfigurationError("embedding coordinates must be finite")
         if self.provenance not in ("spectral", "random", "external"):
@@ -147,10 +149,13 @@ def _build_alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def random_embedding(n: int, d: int, seed: int) -> Embedding:
-    """n starting points drawn uniformly from [-10, 10)^d."""
+    """n starting points drawn uniformly from [-10, 10)^d, from the stream
+    ``default_rng([seed, 1])``: ``optimize`` draws its SGD events from
+    ``default_rng(seed)``, and a start drawn from that same stream would fix
+    the first epoch's edge draws as a function of the start."""
     if d < 1:
         raise ConfigurationError("d must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng([seed, 1])
     return Embedding(rng.uniform(-10.0, 10.0, size=(n, d)), "random")
 
 

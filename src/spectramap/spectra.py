@@ -2,7 +2,9 @@
 
 For a symmetric weight matrix W with degrees d_i = sum_j W_ij, the
 combinatorial Laplacian is L = D - W and the normalized Laplacian is
-Lnorm = D^{-1/2} L D^{-1/2}. The central identity
+Lnorm = D^{-1/2} L D^{-1/2}. ``normalized_laplacian`` builds Lnorm from the
+graph's ``matrix`` and its degrees; L itself is formed only inside the dense
+oracle ``ncut_relaxation_check``. The central identity
 
     tr(Z^T L Z) = 1/2 * sum_ij W_ij ||Z_i - Z_j||^2
 
@@ -57,28 +59,16 @@ FILTER_DEGREE = 24
 MAX_ROUNDS = 200
 
 
-@dataclass(frozen=True)
-class LaplacianPair:
-    """Degrees plus the combinatorial and normalized Laplacians of a graph."""
-
-    degree: np.ndarray
-    combinatorial: sp.csr_matrix
-    normalized: sp.csr_matrix
-
-
-def build_laplacians(V: SimilarityGraph) -> LaplacianPair:
-    """Compute L = D - V and Lnorm = D^{-1/2} L D^{-1/2}; rejects isolated vertices."""
+def normalized_laplacian(V: SimilarityGraph) -> sp.csr_matrix:
+    """Lnorm = D^{-1/2} (D - W) D^{-1/2} from ``V.matrix``; rejects isolated vertices."""
     deg = V.degrees()
     bad = np.flatnonzero(deg <= 0)
     if bad.size:
         raise GraphStructureError(
             f"vertex {bad[0]} is isolated (degree 0); normalized Laplacian undefined"
         )
-    D = sp.diags(deg)
-    L = (D - V.matrix).tocsr()
     inv_sqrt = sp.diags(1.0 / np.sqrt(deg))
-    Lnorm = (inv_sqrt @ L @ inv_sqrt).tocsr()
-    return LaplacianPair(degree=deg, combinatorial=L, normalized=Lnorm)
+    return (inv_sqrt @ (sp.diags(deg) - V.matrix).tocsr() @ inv_sqrt).tocsr()
 
 
 def edge_sq_lengths(V: SimilarityGraph, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,14 +197,13 @@ def spectral_init(V: SimilarityGraph, d: int) -> SpectralSolution:
     """
     if d < 1:
         raise ConfigurationError("d must be >= 1")
-    pair = build_laplacians(V)
+    Ln = normalized_laplacian(V)
     n_null, labels = V.components
     if d + n_null > V.n:
         raise ConfigurationError(
             f"d={d} eigenvectors requested but only {V.n - n_null} non-null available"
         )
-    Ln = pair.normalized
-    vals, vecs = _filtered_subspace(Ln, np.sqrt(pair.degree), labels, d)
+    vals, vecs = _filtered_subspace(Ln, np.sqrt(V.degrees()), labels, d)
     residual = float(np.linalg.norm(Ln @ vecs - vecs * vals, axis=0).max())
     if not residual <= EIG_RESIDUAL_TOL:
         raise EigensolverError(
@@ -247,19 +236,16 @@ def ncut_relaxation_check(V: SimilarityGraph, d: int) -> RelaxationReport:
         )
     import scipy.linalg  # about 0.2 s to import; see the module docstring
 
-    pair = build_laplacians(V)
-    L = pair.combinatorial.toarray()
-    D = np.diag(pair.degree)
-
-    gvals, gvecs = scipy.linalg.eigh(L, D)
-    nvals, nvecs = scipy.linalg.eigh(pair.normalized.toarray())
+    deg = V.degrees()
+    gvals, gvecs = scipy.linalg.eigh(np.diag(deg) - V.matrix.toarray(), np.diag(deg))
+    nvals, nvecs = scipy.linalg.eigh(normalized_laplacian(V).toarray())
 
     gn = int(np.sum(gvals <= NULL_SPACE_TOL))
     nn = int(np.sum(nvals <= NULL_SPACE_TOL))
     g_sel = gvals[gn : gn + d]
     n_sel = nvals[nn : nn + d]
 
-    mapped = np.sqrt(pair.degree)[:, None] * gvecs[:, gn : gn + d]
+    mapped = np.sqrt(deg)[:, None] * gvecs[:, gn : gn + d]
     angles = scipy.linalg.subspace_angles(mapped, nvecs[:, nn : nn + d])
     return RelaxationReport(
         values_generalized=g_sel,

@@ -565,6 +565,18 @@ def test_unallocatable_dataset_is_a_named_error(tmp_path):
     assert not out.exists()
 
 
+def test_unallocatable_draws_are_a_named_error(tmp_path, capsys):
+    """``verify --draws`` past the memory fails in its stage with exit 2, not
+    with a traceback and the exit code of a failed claim; numpy refuses the
+    72.8 TiB request before allocating anything."""
+    out = tmp_path / "out"
+    code = run_cli("verify", "--claims", "eq13_montecarlo", "--draws", 10**13, "--out-dir", out)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error [verify]: Unable to allocate")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["gen-data", "--out"], ["embed", "--out-dir"]])
 @pytest.mark.parametrize("flags", [
     ["--gen", "moons", "--n", 10**19],

@@ -118,8 +118,7 @@ class TestSpectralOptimality:
 
     def test_spectral_solution_is_its_own_optimum(self, p3_graph):
         sol = sm.spectral_init(p3_graph, 1)
-        pair = sm.build_laplacians(p3_graph)
-        Ln = pair.normalized.toarray()
+        Ln = sm.normalized_laplacian(p3_graph).toarray()
         tr = float(np.sum(sol.vectors * (Ln @ sol.vectors)))
         assert tr - tr == 0.0
 

@@ -231,6 +231,10 @@ class TestEdgeListErrors:
         with pytest.raises(GraphStructureError, match=r"line 2: .*\[0, 3\)"):
             self._load(tmp_path, f"3\n{line}\n")
 
+    def test_vertex_count_past_the_index_range(self, tmp_path):
+        with pytest.raises(ParseError, match="line 1: vertex count"):
+            self._load(tmp_path, "99999999999999999999\n0 1 0.3\n")
+
     @pytest.mark.parametrize("second", ["0 1 0.3", "1 0 0.3"])
     def test_duplicate_edge(self, tmp_path, second):
         # summing the two lines would silently load weight 0.6
@@ -386,6 +390,18 @@ class TestGraphValidation:
     def test_constructor_rejects_arrays_that_are_not_canonical(self, rows, cols, weights, message):
         with pytest.raises(GraphStructureError, match=message):
             sm.SimilarityGraph(3, np.array(rows), np.array(cols), np.array(weights))
+
+    @pytest.mark.parametrize("n", [-3, 2.7, "3"])
+    def test_constructor_rejects_a_vertex_count_that_is_not_a_count(self, n):
+        empty = np.array([], dtype=np.int32)
+        with pytest.raises(GraphStructureError, match="vertex count"):
+            sm.SimilarityGraph(n, empty, empty, np.array([]))
+
+    @pytest.mark.parametrize("n", [0, np.int64(3)])
+    def test_constructor_accepts_zero_and_numpy_integers(self, n):
+        empty = np.array([], dtype=np.int32)
+        V = sm.SimilarityGraph(n, empty, empty, np.array([]))
+        assert type(V.n) is int and np.array_equal(V.degrees(), np.zeros(int(n)))
 
     def test_constructor_takes_over_canonical_arrays(self, two_blob_graph):
         V = sm.SimilarityGraph(

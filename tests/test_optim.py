@@ -153,6 +153,16 @@ class TestInitEmbedding:
         assert np.array_equal(a.coords, b.coords)
         assert np.abs(a.coords).max() <= 10.0
 
+    def test_random_start_off_the_sgd_stream(self):
+        # optimize draws its events from default_rng(seed); a start from the
+        # same stream would tie epoch 0's edge draws to the start
+        same_stream = np.random.default_rng(7).uniform(-10.0, 10.0, size=(50, 2))
+        assert not np.array_equal(sm.random_embedding(50, 2, 7).coords, same_stream)
+
+    def test_coordinates_must_be_two_dimensional(self):
+        with pytest.raises(ConfigurationError, match="2-D"):
+            sm.Embedding(np.ones((2, 2, 1)), "random")
+
     @pytest.mark.parametrize("mode", ["random", "spectral"])
     @pytest.mark.parametrize("d", [0, -1])
     def test_dimension_below_one_rejected(self, p3_graph, mode, d):

@@ -1,14 +1,20 @@
 """Static checks on the package source, with the stdlib ``ast`` only."""
 
 import ast
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.linalg.blas
 
 import spectramap
+from spectramap.cli import COMMANDS
 
-MODULES = sorted(p for p in Path(spectramap.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+SOURCES = sorted(Path(spectramap.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+# a ``name`` in a docstring: an identifier, or a dotted run of them
+REFERENCE = re.compile(r"``([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)``")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -67,6 +73,36 @@ def unreferenced_private_names(source: str) -> list[str]:
                   if n.startswith("_") and not n.startswith("__") and n not in used)
 
 
+def defined_names(source: str) -> set[str]:
+    """Every function, class, parameter, assigned name and assigned
+    attribute that the source defines."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return names
+
+
+def unresolved_references(source: str, known: set[str]) -> list[str]:
+    """Each ``name`` in the source's docstrings that is not in ``known``. A
+    dotted reference resolves by its last component; one rooted at np,
+    numpy, scipy or sp is skipped."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            for ref in REFERENCE.findall(ast.get_docstring(node) or ""):
+                parts = ref.split(".")
+                if parts[0] not in ("np", "numpy", "scipy", "sp") and parts[-1] not in known:
+                    found.append(ref)
+    return found
+
+
 def test_finds_an_unused_import():
     source = "import os\nimport numpy as np\nfrom .spectra import a, b\nnp.zeros(a)\n"
     assert unused_imports(source) == ["b", "os"]
@@ -84,6 +120,13 @@ def test_finds_an_unreferenced_private_name():
     assert unreferenced_private_names(source) == ["_Gone", "_UNUSED"]
 
 
+def test_finds_an_unresolved_reference():
+    source = ('"""Reads ``f``, ``np.gone``, ``V.size``, ``gone`` and ``f(x)``."""\n'
+              'def f(V):\n    """Takes ``V`` and ``missing.attr``."""\n    V.size = 1\n')
+    assert defined_names(source) == {"f", "V", "size"}
+    assert unresolved_references(source, defined_names(source)) == ["gone", "missing.attr"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -97,3 +140,17 @@ def test_no_unread_local(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unreferenced_private_name(path):
     assert unreferenced_private_names(path.read_text(encoding="utf-8")) == []
+
+
+# names a docstring may point at: the package's own, a command, or numpy's
+# and BLAS's, as in ``take`` and ``dgemm``
+KNOWN_NAMES = (
+    set().union(*(defined_names(p.read_text(encoding="utf-8")) for p in SOURCES))
+    | {p.stem for p in SOURCES} | {"spectramap"} | set(COMMANDS)
+    | set(dir(np)) | set(dir(np.ndarray)) | set(dir(scipy.linalg.blas))
+)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_docstring_references_resolve(path):
+    assert unresolved_references(path.read_text(encoding="utf-8"), KNOWN_NAMES) == []

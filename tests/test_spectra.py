@@ -15,25 +15,21 @@ from conftest import random_similarity_graph
 
 class TestBuildLaplacians:
     def test_single_edge(self, k2_graph):
-        pair = sm.build_laplacians(k2_graph)
         expected = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        np.testing.assert_allclose(pair.combinatorial.toarray(), expected)
-        # unit degrees: the normalized Laplacian coincides
-        np.testing.assert_allclose(pair.normalized.toarray(), expected)
+        # unit degrees: the normalized Laplacian is L = D - W itself
+        np.testing.assert_allclose(sm.normalized_laplacian(k2_graph).toarray(), expected)
 
     def test_path_three(self, p3_graph):
-        pair = sm.build_laplacians(p3_graph)
-        np.testing.assert_allclose(pair.degree, [1.0, 2.0, 1.0])
-        vals = np.linalg.eigvalsh(pair.normalized.toarray())
+        np.testing.assert_allclose(p3_graph.degrees(), [1.0, 2.0, 1.0])
+        vals = np.linalg.eigvalsh(sm.normalized_laplacian(p3_graph).toarray())
         np.testing.assert_allclose(vals, [0.0, 1.0, 2.0], atol=1e-12)
 
     def test_rows_sum_to_zero(self):
         rng = np.random.default_rng(1)
         V = random_similarity_graph(25, rng)
-        pair = sm.build_laplacians(V)
-        ones = np.ones(25)
+        # L 1 = 0, so Lnorm D^{1/2} 1 = D^{-1/2} L 1 = 0
         np.testing.assert_allclose(
-            pair.combinatorial @ ones, np.zeros(25), atol=1e-12
+            sm.normalized_laplacian(V) @ np.sqrt(V.degrees()), np.zeros(25), atol=1e-12
         )
 
     def test_isolated_vertex_named(self):
@@ -41,14 +37,13 @@ class TestBuildLaplacians:
         dense[0, 1] = dense[1, 0] = 1.0
         V = sm.SimilarityGraph.from_dense(dense)
         with pytest.raises(GraphStructureError, match="vertex 2"):
-            sm.build_laplacians(V)
+            sm.normalized_laplacian(V)
 
     def test_normalized_spectrum_in_zero_two(self):
         rng = np.random.default_rng(2)
         for seed in range(5):
             V = random_similarity_graph(20 + seed, rng)
-            pair = sm.build_laplacians(V)
-            vals = np.linalg.eigvalsh(pair.normalized.toarray())
+            vals = np.linalg.eigvalsh(sm.normalized_laplacian(V).toarray())
             assert vals.min() >= -1e-10
             assert vals.max() <= 2.0 + 1e-10
 
@@ -87,9 +82,8 @@ class TestSpectralInit:
     def test_path_three_first_nonzero_eigenvalue(self, p3_graph):
         sol = sm.spectral_init(p3_graph, 1)
         np.testing.assert_allclose(sol.values, [1.0], atol=1e-10)
-        pair = sm.build_laplacians(p3_graph)
         u = sol.vectors[:, 0]
-        rayleigh = u @ (pair.normalized @ u) / (u @ u)
+        rayleigh = u @ (sm.normalized_laplacian(p3_graph) @ u) / (u @ u)
         assert abs(rayleigh - 1.0) <= 1e-8
 
     def test_null_space_counts_components(self, two_cliques_graph):
@@ -99,8 +93,7 @@ class TestSpectralInit:
     def test_trace_equals_smallest_nonzero_eigenvalues(self, two_blob_graph):
         # may be disconnected; the trace identity holds regardless
         sol = sm.spectral_init(two_blob_graph, 2)
-        pair = sm.build_laplacians(two_blob_graph)
-        Ln = pair.normalized.toarray()
+        Ln = sm.normalized_laplacian(two_blob_graph).toarray()
         tr = float(np.sum(sol.vectors * (Ln @ sol.vectors)))
         vals = np.linalg.eigvalsh(Ln)
         expected = vals[vals > NULL_SPACE_TOL][:2].sum()
@@ -113,17 +106,16 @@ class TestSpectralInit:
 
     def test_columns_orthogonal_to_null_direction(self, p3_graph):
         sol = sm.spectral_init(p3_graph, 2)
-        pair = sm.build_laplacians(p3_graph)
-        null = np.sqrt(pair.degree)
+        null = np.sqrt(p3_graph.degrees())
         null /= np.linalg.norm(null)
         assert np.abs(sol.vectors.T @ null).max() <= 1e-8
 
     def test_eigen_residuals(self, two_blob_graph):
         sol = sm.spectral_init(two_blob_graph, 2)
-        pair = sm.build_laplacians(two_blob_graph)
+        Ln = sm.normalized_laplacian(two_blob_graph)
         for c in range(2):
             u = sol.vectors[:, c]
-            res = np.linalg.norm(pair.normalized @ u - sol.values[c] * u)
+            res = np.linalg.norm(Ln @ u - sol.values[c] * u)
             assert res <= 1e-8
 
     def test_sign_convention_deterministic(self, two_blob_graph):
@@ -139,11 +131,10 @@ class TestSpectralInit:
             sm.spectral_init(two_cliques_graph, 3)  # 4 vertices, 2 null dims
 
     def test_optimality_against_random_frames(self, p3_graph):
-        pair = sm.build_laplacians(p3_graph)
-        Ln = pair.normalized.toarray()
+        Ln = sm.normalized_laplacian(p3_graph).toarray()
         sol = sm.spectral_init(p3_graph, 1)
         tr_sp = float(np.sum(sol.vectors * (Ln @ sol.vectors)))
-        null = np.sqrt(pair.degree)
+        null = np.sqrt(p3_graph.degrees())
         null = (null / np.linalg.norm(null))[:, None]
         rng = np.random.default_rng(7)
         for _ in range(100):
@@ -189,7 +180,7 @@ class TestSparseSpectralInit:
         V, components = sparse_path_graphs[name]
         assert V.components[0] == components
         sol = sm.spectral_init(V, d)
-        Ln = sm.build_laplacians(V).normalized
+        Ln = sm.normalized_laplacian(V)
         vals, vecs = scipy.linalg.eigh(Ln.toarray())
         assert sol.n_null == components
         sel = slice(components, components + d)
@@ -300,7 +291,7 @@ class TestSmallSpectralInit:
         V, components, d = case
         sol = sm.spectral_init(V, d)
         assert sol.n_null == components
-        vals = scipy.linalg.eigvalsh(sm.build_laplacians(V).normalized.toarray())
+        vals = scipy.linalg.eigvalsh(sm.normalized_laplacian(V).toarray())
         assert np.abs(sol.values - vals[components : components + d]).max() <= 1e-10
         assert sol.residual <= 1e-8
 
