@@ -67,7 +67,6 @@ from .optim import (
 from .spectra import (
     SpectralSolution,
     laplacian_quadratic,
-    ncut_relaxation_check,
     normalized_laplacian,
     spectral_init,
 )

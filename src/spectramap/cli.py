@@ -94,10 +94,10 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     e.add_argument("--a", type=float, help="override the fitted kernel a")
     e.add_argument("--b", type=float, help="override the fitted kernel b")
     e.add_argument("--epochs", type=int, default=200)
-    e.add_argument("--neg", type=int, default=5)
-    e.add_argument("--lr", type=float, default=1.0)
-    e.add_argument("--clip", type=float, default=4.0)
-    e.add_argument("--eps", type=float, default=1e-3)
+    e.add_argument("--neg", type=int, default=OptimizerConfig.n_neg)
+    e.add_argument("--lr", type=float, default=OptimizerConfig.initial_lr)
+    e.add_argument("--clip", type=float, default=OptimizerConfig.clip)
+    e.add_argument("--eps", type=float, default=OptimizerConfig.eps)
     e.add_argument("--init", choices=["spectral", "random"], default="spectral")
     e.add_argument("--move-other", action="store_true")
     e.add_argument("--samples-per-epoch", type=int)

@@ -314,7 +314,8 @@ class SimilarityGraph:
         """Inverse of ``save_edge_list``; errors name the 1-based line.
 
         Raises ``ParseError`` for a file that is not UTF-8 text, a bad header,
-        a line without exactly three fields or a non-numeric field, and
+        a vertex count too large to allocate, a line without exactly three
+        fields or a non-numeric field, and
         ``GraphStructureError`` for an index outside [0, n), a self-loop, a
         weight outside [0, 1] or an edge given twice (in either orientation).
         """
@@ -356,7 +357,11 @@ class SimilarityGraph:
             rows += [a, b]
             cols += [b, a]
             vals += [v, v]
-        return cls.from_sparse(sp.csr_matrix((vals, (rows, cols)), shape=(n, n)))
+        try:
+            matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        except (MemoryError, ValueError) as exc:
+            raise ParseError(f"line 1: cannot build a graph of {n} vertices: {exc}") from None
+        return cls.from_sparse(matrix)
 
 
 def symmetrize(directed: sp.csr_matrix) -> SimilarityGraph:

@@ -15,13 +15,14 @@ edges, the repulsion is evaluated as an all-pairs sum minus an edge give-back,
 where the row sums r_i run over cache-sized ``knn.row_block_buffers`` with
 the coordinate-order ``knn.block_sq_dists``, so no n x n array is ever
 held, and the attraction and give-back run over the stored edges with the
-lengths of ``spectra.edge_sq_lengths``. Every attraction log is the closed-form
-``log_phi``, finite at any distance for both kernel families, so for the
-Gaussian kernel the attraction equals (1/tau) * tr(Y^T L Y) identically at
-every scale; for the heavy-tailed kernel it lies below the p-Laplacian
-energy a * sum w s^b (p = 2b; 2a * tr(Y^T L Y) at b = 1) by at most a
-curvature bound. ``first_order`` computes the form and the bound for both
-families. Only the repulsion clamps its log (see ``LOG_CLAMP``).
+lengths of ``spectra.edge_sq_lengths``, summed by ``spectra.edge_sum``.
+Every attraction log is the closed-form ``log_phi``, finite at any distance
+for both kernel families, so for the Gaussian kernel the attraction equals
+(1/tau) * tr(Y^T L Y) identically at every scale; for the heavy-tailed
+kernel it lies below the p-Laplacian energy a * sum w s^b (p = 2b;
+2a * tr(Y^T L Y) at b = 1) by at most a curvature bound. ``first_order``
+computes the form and the bound for both families. Only the repulsion
+clamps its log (see ``LOG_CLAMP``).
 ``expected_sgd_loss`` is the per-epoch expectation of the negative-sampling
 estimator: positives weighted by v_ab, negatives uniform over vertices with
 the degree-weighted prefactor n_neg/n, which is deg @ r.
@@ -43,7 +44,7 @@ from .errors import ConfigurationError
 from .fuzzy import SimilarityGraph
 from .kernels import KernelParams, log_phi, one_minus_phi
 from .knn import block_sq_dists, row_block_buffers, sq_norms
-from .spectra import edge_sq_lengths, laplacian_quadratic
+from .spectra import edge_sq_lengths, edge_sum, laplacian_quadratic
 
 # Floor under 1 - phi in the repulsion logs, which are -inf at coincident
 # points. The attraction never clamps: it uses the closed-form log_phi.
@@ -96,7 +97,7 @@ class LossReport:
 def attractive_term(V: SimilarityGraph, Y: np.ndarray, p: KernelParams) -> float:
     """-sum_{i != j} v_ij log phi(s_ij) over stored edges, closed-form logs."""
     w, s = edge_sq_lengths(V, Y)
-    return -float(w @ log_phi(s, p))
+    return -edge_sum(w, log_phi(s, p))
 
 
 def first_order(
@@ -119,14 +120,14 @@ def first_order(
         return attract, (1.0 / p.tau) * laplacian_quadratic(V, Y), None
     w, s = edge_sq_lengths(V, Y)
     sb = s**p.b
-    return attract, p.a * float(w @ sb), 0.5 * p.a * p.a * float(w @ (sb * sb))
+    return attract, p.a * edge_sum(w, sb), 0.5 * p.a * p.a * edge_sum(w, sb * sb)
 
 
 def cross_entropy_loss(V: SimilarityGraph, Y: np.ndarray, p: KernelParams) -> LossReport:
     """Full cross-entropy over all ordered pairs, with its decomposition."""
     attract, form, bound = first_order(V, Y, p)
     w, s = edge_sq_lengths(V, Y)
-    repel = float(repel_row_sums(Y, p).sum()) + float(w @ repel_logs(s, p))
+    repel = float(repel_row_sums(Y, p).sum()) + edge_sum(w, repel_logs(s, p))
     return LossReport(
         total=attract + repel,
         attract=attract,

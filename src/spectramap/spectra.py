@@ -1,10 +1,9 @@
-"""Graph Laplacians, their quadratic form, spectral layout, and normalized cut.
+"""The spectral step of ``embed``: Lnorm, its quadratic form, spectral layout.
 
 For a symmetric weight matrix W with degrees d_i = sum_j W_ij, the
 combinatorial Laplacian is L = D - W and the normalized Laplacian is
 Lnorm = D^{-1/2} L D^{-1/2}. ``normalized_laplacian`` builds Lnorm from the
-graph's ``matrix`` and its degrees; L itself is formed only inside the dense
-oracle ``ncut_relaxation_check``. The central identity
+graph's ``matrix`` and its degrees. The central identity
 
     tr(Z^T L Z) = 1/2 * sum_ij W_ij ||Z_i - Z_j||^2
 
@@ -29,9 +28,9 @@ A narrower block can sink into a wanted eigenvalue's eigenspace, where its
 largest Ritz value comes within its residual of the wanted ones and the
 filter stalls; then the block is doubled with fresh columns. The solver
 stops once the d wanted pairs have residual ||Lnorm u - lambda u|| at most
-``EIG_RESIDUAL_TOL``/100, and gives up after ``MAX_ROUNDS`` rounds. Only
-the dense oracle ``ncut_relaxation_check`` imports ``scipy.linalg``, when
-it runs, so ``embed`` never pays that import (about 0.2 s and 12 MB).
+``EIG_RESIDUAL_TOL``/100, and gives up after ``MAX_ROUNDS`` rounds. The
+module holds no dense algorithm: the dense oracles that certify it belong
+to the claims in ``equivalence``.
 """
 
 from __future__ import annotations
@@ -45,8 +44,6 @@ from .errors import ConfigurationError, EigensolverError, GraphStructureError
 from .fuzzy import SimilarityGraph
 from .knn import sq_norms
 
-# the dense oracles treat eigenvalues at or below this as the zero eigenspace
-NULL_SPACE_TOL = 1e-8
 # largest accepted ||Lnorm u - lambda u|| of a returned eigenpair
 EIG_RESIDUAL_TOL = 1e-8
 # seed of the iterative solver's start vectors
@@ -89,10 +86,15 @@ def edge_sq_lengths(V: SimilarityGraph, Y: np.ndarray) -> tuple[np.ndarray, np.n
     return V.weights, sq_norms(Y.take(V.rows, axis=0) - Y.take(V.cols, axis=0))
 
 
+def edge_sum(w: np.ndarray, x: np.ndarray) -> float:
+    """sum_e w_e x_e by ``np.einsum``, which runs no BLAS and allocates nothing:
+    the same bits at any thread count, where ``ddot`` splits long sums."""
+    return float(np.einsum("i,i->", w, x))
+
+
 def laplacian_quadratic(V: SimilarityGraph, Z: np.ndarray) -> float:
     """tr(Z^T L(V) Z) evaluated as the half-sum of w_ij ||Z_i - Z_j||^2 over edges."""
-    w, s = edge_sq_lengths(V, Z)
-    return 0.5 * float(w @ s)
+    return 0.5 * edge_sum(*edge_sq_lengths(V, Z))
 
 
 @dataclass(frozen=True)
@@ -214,53 +216,3 @@ def spectral_init(V: SimilarityGraph, d: int) -> SpectralSolution:
         vectors=_fix_signs(vecs), values=vals.copy(), n_null=int(n_null),
         residual=residual,
     )
-
-
-@dataclass(frozen=True)
-class RelaxationReport:
-    """Agreement between the (L, D) generalized and Lnorm ordinary eigenproblems."""
-
-    values_generalized: np.ndarray
-    values_normalized: np.ndarray
-    max_value_gap: float
-    max_principal_angle: float
-
-
-def ncut_relaxation_check(V: SimilarityGraph, d: int) -> RelaxationReport:
-    """Verify that generalized eigenvectors of (L, D) map onto Lnorm's under
-    u -> D^{1/2} u, comparing eigenvalue lists and subspace principal angles."""
-    n_comp = V.components[0]
-    if n_comp != 1:
-        raise GraphStructureError(
-            f"relaxation check requires a connected graph, found {n_comp} components"
-        )
-    import scipy.linalg  # about 0.2 s to import; see the module docstring
-
-    deg = V.degrees()
-    gvals, gvecs = scipy.linalg.eigh(np.diag(deg) - V.matrix.toarray(), np.diag(deg))
-    nvals, nvecs = scipy.linalg.eigh(normalized_laplacian(V).toarray())
-
-    gn = int(np.sum(gvals <= NULL_SPACE_TOL))
-    nn = int(np.sum(nvals <= NULL_SPACE_TOL))
-    g_sel = gvals[gn : gn + d]
-    n_sel = nvals[nn : nn + d]
-
-    mapped = np.sqrt(deg)[:, None] * gvecs[:, gn : gn + d]
-    angles = scipy.linalg.subspace_angles(mapped, nvecs[:, nn : nn + d])
-    return RelaxationReport(
-        values_generalized=g_sel,
-        values_normalized=n_sel,
-        max_value_gap=float(np.abs(g_sel - n_sel).max()),
-        max_principal_angle=float(angles.max()) if angles.size else 0.0,
-    )
-
-
-def random_orthonormal_frame(
-    n: int, d: int, rng: np.random.Generator, complement: np.ndarray
-) -> np.ndarray:
-    """Random n x d orthonormal frame orthogonal to the orthonormal columns
-    of ``complement``."""
-    G = rng.standard_normal((n, d))
-    G = G - complement @ (complement.T @ G)
-    Q, _ = np.linalg.qr(G)
-    return Q

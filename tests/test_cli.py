@@ -11,7 +11,7 @@ import pytest
 
 import spectramap as sm
 from spectramap import equivalence
-from spectramap.cli import main
+from spectramap.cli import build_parser, main
 
 from conftest import negated_laplacian_quadratic
 
@@ -20,18 +20,19 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
-def run_child(code, *options):
-    """Run ``python *options -c code`` against this package in a fresh process."""
-    env = dict(os.environ, PYTHONPATH=str(Path(sm.__file__).parents[1]))
+def run_child(code, *options, **env):
+    """Run ``python *options -c code`` against this package in a fresh
+    process, with the variables ``env`` added to its environment."""
+    env = dict(os.environ, PYTHONPATH=str(Path(sm.__file__).parents[1]), **env)
     return subprocess.run([sys.executable, *options, "-c", code], capture_output=True,
                           text=True, env=env)
 
 
-def run_main_child(args, *options):
+def run_main_child(args, *options, **env):
     """``cli.main(args)`` in a fresh process, its return value the exit code."""
     args = [str(a) for a in args]
     return run_child(f"import sys, spectramap.cli; sys.exit(spectramap.cli.main({args!r}))",
-                     *options)
+                     *options, **env)
 
 
 class TestGenData:
@@ -167,6 +168,28 @@ class TestEmbed:
         assert run_cli(*args) == 0
         for name in names:
             assert (out / name).read_bytes() == first[name]
+
+    def test_sgd_defaults_are_the_optimizer_config(self):
+        args = build_parser().parse_args(["embed", "--gen", "moons", "--out-dir", "x"])
+        cfg = sm.OptimizerConfig(args.epochs)
+        assert (args.neg, args.lr, args.clip, args.eps) == (
+            cfg.n_neg, cfg.initial_lr, cfg.clip, cfg.eps)
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="with one usable CPU, BLAS runs one thread and splits no sum")
+    def test_losses_independent_of_blas_threads(self, tmp_path):
+        # 17,802 stored edges: a BLAS ddot splits a sum this long across its
+        # threads, in a thread-count-dependent order
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            args = ["embed", "--gen", "moons", "--n", 1000, "--epochs", 1, "--seed", 3,
+                    "--out-dir", out]
+            assert run_main_child(args, OPENBLAS_NUM_THREADS=threads).returncode == 0
+            report = json.loads((out / "run.json").read_text())
+            del report["config"]["out_dir"]
+            outputs.append(((out / "trace.jsonl").read_bytes(), report))
+        assert outputs[0] == outputs[1]
 
     def test_gaussian_trace_matches_quadratic_form(self, tmp_path):
         code, out = self._embed(

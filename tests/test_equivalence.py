@@ -237,6 +237,12 @@ class TestNcutRelaxationClaim:
         assert rep.context["max_value_gap"] <= 1e-8
         assert rep.context["max_principal_angle"] <= 1e-6
 
+    def test_sabotage_breaks_it(self, monkeypatch):
+        # the claim's own Lnorm solve reads the name it imports from spectra
+        monkeypatch.setattr(eq, "normalized_laplacian", lambda V: 2 * sm.normalized_laplacian(V))
+        result = eq.run_suite(42, claims=["a3_relaxation"])
+        assert not result.all_passed
+
 
 class TestConcaveSaturation:
     def test_log_kernel_transform_concave_increasing(self):

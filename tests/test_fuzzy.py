@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,6 +14,9 @@ from spectramap.knn import KnnGraph
 from spectramap.spectra import edge_sq_lengths
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+# Linux overcommit mode 1 grants any allocation, which filling then exhausts
+OVERCOMMIT = Path("/proc/sys/vm/overcommit_memory")
+ALWAYS_OVERCOMMIT = OVERCOMMIT.exists() and OVERCOMMIT.read_text().strip() == "1"
 
 
 def _knn_from_distances(dists):
@@ -234,6 +239,15 @@ class TestEdgeListErrors:
     def test_vertex_count_past_the_index_range(self, tmp_path):
         with pytest.raises(ParseError, match="line 1: vertex count"):
             self._load(tmp_path, "99999999999999999999\n0 1 0.3\n")
+
+    @pytest.mark.parametrize("n", [
+        pytest.param(10**12, marks=pytest.mark.skipif(ALWAYS_OVERCOMMIT, reason="overcommit")),
+        2**62, 2**63 - 1,
+    ])
+    def test_vertex_count_past_memory(self, tmp_path, n):
+        # numpy refuses each matrix at once (7.28 TiB and up), allocating nothing
+        with pytest.raises(ParseError, match=f"line 1: cannot build a graph of {n} vertices"):
+            self._load(tmp_path, f"{n}\n0 1 0.5\n")
 
     @pytest.mark.parametrize("second", ["0 1 0.3", "1 0 0.3"])
     def test_duplicate_edge(self, tmp_path, second):

@@ -11,7 +11,7 @@ from spectramap import knn, losses
 from spectramap.equivalence import pipeline_graph
 from spectramap.errors import ConfigurationError
 from spectramap.losses import LOG_CLAMP
-from spectramap.spectra import edge_sq_lengths
+from spectramap.spectra import edge_sq_lengths, edge_sum
 
 from conftest import random_similarity_graph, stochastic_step_loss
 
@@ -257,7 +257,7 @@ class TestFirstOrderRule:
         _, form, bound = sm.first_order(V, Y, sm.KernelParams.cauchy(a, 1.0))
         w, s = edge_sq_lengths(V, Y)
         assert form == 2 * a * sm.laplacian_quadratic(V, Y)
-        assert bound == 0.5 * a * a * float(w @ (s * s))
+        assert bound == 0.5 * a * a * edge_sum(w, s * s)
 
     @settings(max_examples=300, deadline=None)
     @given(first_order_cases(), st.floats(0.1, 10.0))

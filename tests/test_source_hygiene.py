@@ -13,6 +13,7 @@ from spectramap.cli import COMMANDS
 
 SOURCES = sorted(Path(spectramap.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 # a ``name`` in a docstring: an identifier, or a dotted run of them
 REFERENCE = re.compile(r"``([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)``")
 
@@ -30,11 +31,6 @@ def unused_imports(source: str) -> list[str]:
             bound += [a.asname or a.name for a in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(set(bound) - used)
-
-
-def test_finds_an_unused_import():
-    source = "import os\nimport numpy as np\nfrom .spectra import a, b\nnp.zeros(a)\n"
-    assert unused_imports(source) == ["b", "os"]
 
 
 def unread_locals(source: str) -> list[str]:
@@ -103,6 +99,19 @@ def unresolved_references(source: str, known: set[str]) -> list[str]:
     return found
 
 
+def duplicate_definitions(source: str) -> list[str]:
+    """``scope:name`` for each function or class name that a module or class
+    body defines twice or more; the last definition shadows the others."""
+    found = []
+    for scope in ast.walk(ast.parse(source)):
+        if isinstance(scope, (ast.Module, ast.ClassDef)):
+            names = [node.name for node in scope.body if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+            found += [f"{getattr(scope, 'name', '<module>')}:{name}"
+                      for name in sorted({n for n in names if names.count(n) > 1})]
+    return found
+
+
 def test_finds_an_unused_import():
     source = "import os\nimport numpy as np\nfrom .spectra import a, b\nnp.zeros(a)\n"
     assert unused_imports(source) == ["b", "os"]
@@ -125,6 +134,18 @@ def test_finds_an_unresolved_reference():
               'def f(V):\n    """Takes ``V`` and ``missing.attr``."""\n    V.size = 1\n')
     assert defined_names(source) == {"f", "V", "size"}
     assert unresolved_references(source, defined_names(source)) == ["gone", "missing.attr"]
+
+
+def test_finds_a_duplicate_definition():
+    source = ("def f():\n    pass\nclass C:\n    def g(self):\n        pass\n"
+              "    def g(self):\n        pass\n    def h(self):\n        def f():\n"
+              "            pass\ndef f():\n    pass\nclass D:\n    pass\n")
+    assert duplicate_definitions(source) == ["<module>:f", "C:g"]
+
+
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_duplicate_definition(path):
+    assert duplicate_definitions(path.read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -7,8 +7,7 @@ import scipy.sparse as sp
 import spectramap as sm
 from spectramap import fuzzy, spectra
 from spectramap.errors import ConfigurationError, EigensolverError, GraphStructureError
-from spectramap.equivalence import random_connected_graph
-from spectramap.spectra import NULL_SPACE_TOL, random_orthonormal_frame
+from spectramap.equivalence import NULL_SPACE_TOL, random_connected_graph
 
 from conftest import random_similarity_graph
 
@@ -129,17 +128,6 @@ class TestSpectralInit:
     def test_dimension_overflow_rejected(self, two_cliques_graph):
         with pytest.raises(ConfigurationError):
             sm.spectral_init(two_cliques_graph, 3)  # 4 vertices, 2 null dims
-
-    def test_optimality_against_random_frames(self, p3_graph):
-        Ln = sm.normalized_laplacian(p3_graph).toarray()
-        sol = sm.spectral_init(p3_graph, 1)
-        tr_sp = float(np.sum(sol.vectors * (Ln @ sol.vectors)))
-        null = np.sqrt(p3_graph.degrees())
-        null = (null / np.linalg.norm(null))[:, None]
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            Q = random_orthonormal_frame(3, 1, rng, complement=null)
-            assert float(np.sum(Q * (Ln @ Q))) >= tr_sp - 1e-9
 
 
 def _two_copies(V):
@@ -296,32 +284,6 @@ class TestSmallSpectralInit:
         assert sol.residual <= 1e-8
 
 
-class TestNcutRelaxation:
-    def test_path_three(self, p3_graph):
-        rep = sm.ncut_relaxation_check(p3_graph, 1)
-        np.testing.assert_allclose(rep.values_generalized, [1.0], atol=1e-10)
-        np.testing.assert_allclose(rep.values_normalized, [1.0], atol=1e-10)
-        assert rep.max_value_gap <= 1e-8
-
-    def test_single_edge(self, k2_graph):
-        rep = sm.ncut_relaxation_check(k2_graph, 1)
-        np.testing.assert_allclose(rep.values_generalized, [2.0], atol=1e-10)
-        np.testing.assert_allclose(rep.values_normalized, [2.0], atol=1e-10)
-
-    def test_random_connected_graph(self):
-        from spectramap.equivalence import random_connected_graph
-
-        rng = np.random.default_rng(9)
-        V = random_connected_graph(15, rng)
-        rep = sm.ncut_relaxation_check(V, 3)
-        assert rep.max_value_gap <= 1e-8
-        assert rep.max_principal_angle <= 1e-6
-
-    def test_disconnected_rejected(self, two_cliques_graph):
-        with pytest.raises(GraphStructureError):
-            sm.ncut_relaxation_check(two_cliques_graph, 1)
-
-
 class TestComponents:
     def test_counts(self, two_cliques_graph, p3_graph):
         assert two_cliques_graph.components[0] == 2
@@ -340,5 +302,5 @@ class TestComponents:
         V = sm.build_similarity_graph(sm.DataMatrix(points), 8)
         sol = sm.spectral_init(V, 2)
         assert V.components[0] == sol.n_null
-        sm.ncut_relaxation_check(V, 2)
+        sm.spectral_init(V, 3)
         assert len(calls) == 1
