@@ -101,7 +101,9 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     e.add_argument("--init", choices=["spectral", "random"], default="spectral")
     e.add_argument("--move-other", action="store_true")
     e.add_argument("--samples-per-epoch", type=int)
-    e.add_argument("--dump-graph", action="store_true")
+    e.add_argument("--dump-graph", action="store_true",
+                   help="write graph.txt: the vertex count, then one 'i j w' line "
+                        "per undirected edge, with i < j and w in .17g")
     e.add_argument("--out-dir", required=True)
 
     v = sub.add_parser("verify", help="run the spectral-equivalence claim suite")
@@ -277,7 +279,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    claims = args.claims.split(",") if args.claims else None
+    claims = None if args.claims is None else args.claims.split(",")
     with _stage("verify", ConfigurationError, MemoryError):
         result = equivalence.run_suite(
             master_seed=args.seed,

@@ -483,6 +483,8 @@ def run_suite(
     """Evaluate every claim (or a filtered subset) in the run order of the
     module docstring, each on its own ``claim_rng`` stream."""
     wanted = set(CLAIM_IDS if claims is None else claims)
+    if not wanted:
+        raise ConfigurationError("no claim ids to run")
     if not wanted <= set(CLAIM_IDS):
         raise ConfigurationError(f"unknown claim ids: {sorted(wanted - set(CLAIM_IDS))}")
 

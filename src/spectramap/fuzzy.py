@@ -9,11 +9,11 @@ probabilistic t-conorm a (+) b = a + b - ab.
 The result is a ``SimilarityGraph(n, rows, cols, weights)``: the canonical
 edge arrays (row-major, sorted, duplicate-free) of a symmetric matrix with
 zero diagonal and weights in [0, 1], validated once with numpy. ``symmetrize``
-makes them itself, the adapters ``from_sparse`` and ``from_dense`` from a
-matrix. Edge sums read the arrays. The scipy CSR ``matrix`` is built from
-them on first use, and the degrees are its row sums, computed per call; only
-the CSR and the components are cached. The connected components come from a
-numpy hook-and-compress pass over the same arrays, so no ``scipy.sparse``
+makes them itself, the adapter ``from_dense`` from a square array. Edge sums
+read the arrays. The scipy CSR ``matrix`` is built from them on first use,
+and the degrees are its row sums, computed per call; only the CSR and the
+components are cached. The connected components come from a numpy
+hook-and-compress pass over the same arrays, so no ``scipy.sparse``
 submodule is loaded for them.
 """
 
@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .datasets import DataMatrix, read_utf8
-from .errors import ConfigurationError, GraphStructureError, ParseError
+from .datasets import DataMatrix
+from .errors import ConfigurationError, GraphStructureError
 from .knn import KnnGraph, knn_search
 
 BRACKET_LO = 1e-8
@@ -201,11 +201,9 @@ class SimilarityGraph:
     zero diagonal and weights in [0, 1]. The scipy CSR ``matrix`` and the
     connected components are each computed on first use and kept; the
     degrees are ``matrix``'s row sums, computed per call. The graph is
-    immutable. The adapters ``from_sparse`` (any scipy
-    sparse matrix, duplicates summed first) and ``from_dense`` (the nonzero
-    entries of a square array, no scipy matrix built) make the arrays with
-    scipy's int32 index dtype (int64 once n or nnz outgrows it) and float64
-    weights.
+    immutable. The adapter ``from_dense`` (the nonzero entries of a square
+    array, no scipy matrix built) makes the arrays with scipy's int32 index
+    dtype (int64 once n or nnz outgrows it) and float64 weights.
     """
 
     n: int
@@ -248,16 +246,6 @@ class SimilarityGraph:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "n", n)
-
-    @classmethod
-    def from_sparse(cls, matrix) -> "SimilarityGraph":
-        """Graph on the entries of a square scipy sparse matrix."""
-        if matrix.shape[0] != matrix.shape[1]:
-            raise GraphStructureError("adjacency matrix must be square")
-        m = matrix.tocsr(copy=True)
-        m.sum_duplicates()  # also sorts each row's indices
-        rows = np.repeat(np.arange(m.shape[0], dtype=m.indices.dtype), np.diff(m.indptr))
-        return cls(m.shape[0], rows, m.indices, m.data)
 
     @classmethod
     def from_dense(cls, dense) -> "SimilarityGraph":
@@ -303,65 +291,12 @@ class SimilarityGraph:
         return self.rows[keep], self.cols[keep], self.weights[keep]
 
     def save_edge_list(self, path) -> None:
-        """Text serialization: one `i j w` line per undirected edge, i < j."""
+        """Text serialization: the vertex count on the first line, then one
+        ``i j w`` line per undirected edge, with i < j and w in ``.17g``."""
         i, j, w = self.edges()
         lines = [f"{self.n}"]
         lines += [f"{a} {b} {v:.17g}" for a, b, v in zip(i, j, w)]
         Path(path).write_text("\n".join(lines) + "\n")
-
-    @classmethod
-    def load_edge_list(cls, path) -> "SimilarityGraph":
-        """Inverse of ``save_edge_list``; errors name the 1-based line.
-
-        Raises ``ParseError`` for a file that is not UTF-8 text, a bad header,
-        a vertex count too large to allocate, a line without exactly three
-        fields or a non-numeric field, and
-        ``GraphStructureError`` for an index outside [0, n), a self-loop, a
-        weight outside [0, 1] or an edge given twice (in either orientation).
-        """
-        lines = read_utf8(path).splitlines()
-        header = lines[0].strip() if lines else ""
-        try:
-            n = int(header)
-        except ValueError:
-            raise ParseError(f"line 1: header must be the vertex count, got {header!r}") from None
-        top = np.iinfo(np.intp).max
-        if not 1 <= n <= top:
-            raise ParseError(f"line 1: vertex count must be in [1, {top}], got {n}")
-        seen: set[tuple[int, int]] = set()
-        rows, cols, vals = [], [], []
-        for lineno, line in enumerate(lines[1:], start=2):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != 3:
-                raise ParseError(f"line {lineno}: expected 'i j w', got {line.strip()!r}")
-            try:
-                a, b, v = int(fields[0]), int(fields[1]), float(fields[2])
-            except ValueError:
-                raise ParseError(
-                    f"line {lineno}: non-numeric or non-integer field in {line.strip()!r}"
-                ) from None
-            if not (0 <= a < n and 0 <= b < n):
-                raise GraphStructureError(
-                    f"line {lineno}: vertex index outside [0, {n}) in {line.strip()!r}"
-                )
-            if a == b or not 0.0 <= v <= 1.0:
-                raise GraphStructureError(
-                    f"line {lineno}: need i != j and a weight in [0, 1], got {line.strip()!r}"
-                )
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                raise GraphStructureError(f"line {lineno}: duplicate edge {key[0]} {key[1]}")
-            seen.add(key)
-            rows += [a, b]
-            cols += [b, a]
-            vals += [v, v]
-        try:
-            matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        except (MemoryError, ValueError) as exc:
-            raise ParseError(f"line 1: cannot build a graph of {n} vertices: {exc}") from None
-        return cls.from_sparse(matrix)
 
 
 def symmetrize(directed: sp.csr_matrix) -> SimilarityGraph:

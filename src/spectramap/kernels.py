@@ -140,8 +140,8 @@ def grad_log_one_minus_phi_rows(diff: np.ndarray, p: KernelParams, eps: float) -
 
     Exactly coincident rows have no push direction and return zero.
     """
-    if eps < 0:
-        raise ConfigurationError("eps must be nonnegative")
+    if not 0.0 <= eps < np.inf:  # NaN fails this too
+        raise ConfigurationError("eps must be finite and nonnegative")
     s = np.vecdot(diff, diff)
     zero = s == 0.0
     s = np.where(zero, 1.0, s)

@@ -64,10 +64,11 @@ class OptimizerConfig:
             raise ConfigurationError("n_epochs must be >= 1")
         if self.n_neg < 0:
             raise ConfigurationError("n_neg must be >= 0")
-        # NaN fails these tests too; clip = inf means no clipping
-        if not (0 < self.initial_lr < math.inf and self.clip > 0 and self.eps > 0):
-            raise ConfigurationError("initial_lr must be finite and positive; clip "
-                                     "and eps must be positive")
+        # NaN fails these tests too; clip = inf means no clipping, while
+        # eps = inf would turn every repulsive step into an attractive one
+        if not (0 < self.initial_lr < math.inf and self.clip > 0 and 0 < self.eps < math.inf):
+            raise ConfigurationError("initial_lr and eps must be finite and positive; "
+                                     "clip must be positive")
         if self.samples_per_epoch is not None and self.samples_per_epoch < 0:
             raise ConfigurationError("samples_per_epoch must be >= 0")
 

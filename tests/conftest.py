@@ -55,6 +55,24 @@ def random_similarity_graph(n, rng, density=0.3):
     return sm.SimilarityGraph.from_dense(dense)
 
 
+def graph_from_sparse(m):
+    """``SimilarityGraph`` on the entries of a square scipy sparse matrix,
+    duplicates summed first."""
+    m = m.tocsr(copy=True)
+    m.sum_duplicates()  # also sorts each row's indices
+    rows = np.repeat(np.arange(m.shape[0], dtype=m.indices.dtype), np.diff(m.indptr))
+    return sm.SimilarityGraph(m.shape[0], rows, m.indices, m.data)
+
+
+def read_edge_list(path):
+    """(n, i, j, w) of a file that ``save_edge_list`` wrote."""
+    with open(path) as f:
+        n = int(f.readline())
+        table = np.loadtxt(f, dtype=[("i", np.int64), ("j", np.int64), ("w", np.float64)],
+                           ndmin=1)
+    return n, table["i"], table["j"], table["w"]
+
+
 def negated_laplacian_quadratic(V, Z):
     """A broken quadratic form, its sign flipped: the claim suite must fail on it."""
     return -sm.laplacian_quadratic(V, Z)

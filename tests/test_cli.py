@@ -13,7 +13,7 @@ import spectramap as sm
 from spectramap import equivalence
 from spectramap.cli import build_parser, main
 
-from conftest import negated_laplacian_quadratic
+from conftest import negated_laplacian_quadratic, read_edge_list
 
 
 def run_cli(*args):
@@ -207,8 +207,13 @@ class TestEmbed:
     def test_dump_graph(self, tmp_path):
         code, out = self._embed(tmp_path, "--dump-graph")
         assert code == 0
-        V = sm.SimilarityGraph.load_edge_list(out / "graph.txt")
-        assert V.n == 60
+        # the run's own graph: 60 points of two blobs, k = 8, the default seed
+        data = sm.gen_blobs(30, [(0, 0), (10, 0)], 0.5, 42).data
+        V = sm.build_similarity_graph(data, 8)
+        n, *edges = read_edge_list(out / "graph.txt")
+        assert n == V.n == 60
+        for got, want in zip(edges, V.edges()):
+            assert np.array_equal(got, want)
 
     def test_csv_input(self, tmp_path):
         data = tmp_path / "in.csv"
@@ -260,6 +265,8 @@ class TestEmbed:
         (("--min-dist", "nan", "--a", 1, "--b", 1), "config"),
         (("--noise", "nan"), "config"),
         (("--gen", "moons", "--std", "nan"), "config"),
+        # at eps = inf every repulsive step would become an attractive one
+        (("--eps", "inf"), "optimizer"),
     ])
     def test_bad_setting_is_a_named_error(self, tmp_path, capsys, flags, module):
         code, out = self._embed(tmp_path, *flags)
@@ -379,6 +386,10 @@ class TestVerify:
         out = tmp_path / "verify"
         assert run_cli("verify", "--claims", "nope", "--out-dir", out) == 2
         assert "error [verify]" in capsys.readouterr().err
+        assert not out.exists()
+        # an empty selection is no selection: it neither passes nor runs all
+        assert run_cli("verify", "--claims", "", "--out-dir", out) == 2
+        assert "error [verify]: unknown claim ids: ['']" in capsys.readouterr().err
         assert not out.exists()
 
     def test_single_draw_is_a_named_error(self, tmp_path, capsys):

@@ -277,6 +277,11 @@ class TestSuite:
         with pytest.raises(ConfigurationError):
             eq.run_suite(claims=["lemmaB2"])
 
+    def test_empty_claim_selection_rejected(self):
+        # else it would pass with no report at all
+        with pytest.raises(ConfigurationError, match="no claim ids to run"):
+            eq.run_suite(claims=[])
+
     def test_sabotage_fails_gaussian_claim(self, monkeypatch):
         monkeypatch.setattr(eq, "laplacian_quadratic", negated_laplacian_quadratic)
         result = eq.run_suite(master_seed=42, claims=["thm3.1a"])

@@ -181,6 +181,12 @@ class TestRepulsiveGradient:
         with pytest.raises(ConfigurationError):
             grad_log_one_minus_phi_rows(np.ones((1, 2)), sm.KernelParams.cauchy(), -1.0)
 
+    @pytest.mark.parametrize("eps", [np.inf, np.nan])
+    def test_non_finite_eps_rejected(self, eps):
+        # at eps = inf the repulsion would equal grad_log_phi_rows, an attraction
+        with pytest.raises(ConfigurationError, match="eps"):
+            grad_log_one_minus_phi_rows(np.ones((1, 2)), sm.KernelParams.cauchy(), eps)
+
 
 class TestGradientSweep:
     def test_500_random_checks_against_finite_differences(self):

@@ -11,7 +11,7 @@ from spectramap.errors import ConfigurationError, OptimizationError
 from spectramap.kernels import grad_log_one_minus_phi_rows, grad_log_phi_rows
 from spectramap.optim import EdgeSampler, _build_alias_table, wave_schedule
 
-from conftest import random_similarity_graph, stochastic_step_loss
+from conftest import graph_from_sparse, random_similarity_graph, stochastic_step_loss
 
 
 def numpy_scalar_alias_table(weights):
@@ -229,7 +229,7 @@ class TestOptimize:
         n = 6000
         ring = np.arange(n)
         W = sp.coo_matrix((np.full(n, 0.5), (ring, (ring + 1) % n)), shape=(n, n))
-        V = sm.SimilarityGraph.from_sparse((W + W.T).tocsr())
+        V = graph_from_sparse(W + W.T)
         Y0 = sm.random_embedding(V.n, 2, 0)
         cfg = small_config(n_epochs=2, samples_per_epoch=100)
         res = sm.optimize(V, Y0, sm.KernelParams.cauchy(), cfg)

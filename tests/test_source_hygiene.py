@@ -14,6 +14,9 @@ from spectramap.cli import COMMANDS
 SOURCES = sorted(Path(spectramap.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
+# the benchmark harness, its own tests aside
+HARNESS = [p for p in sorted((Path(__file__).parent.parent / "benchmark").glob("*.py"))
+           if not p.name.startswith("test_")]
 # a ``name`` in a docstring: an identifier, or a dotted run of them
 REFERENCE = re.compile(r"``([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)``")
 
@@ -112,6 +115,33 @@ def duplicate_definitions(source: str) -> list[str]:
     return found
 
 
+def public_definitions(source: str) -> list[str]:
+    """Module-level functions and classes whose names do not start with
+    ``_``, and the methods of those classes whose names do not."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name.startswith("_"):
+                continue
+            found.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                found += [m.name for m in node.body
+                          if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                          and not m.name.startswith("_")]
+    return found
+
+
+def read_names(source: str) -> set[str]:
+    """Every name the source loads and every attribute it reads."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
 def test_finds_an_unused_import():
     source = "import os\nimport numpy as np\nfrom .spectra import a, b\nnp.zeros(a)\n"
     assert unused_imports(source) == ["b", "os"]
@@ -134,6 +164,16 @@ def test_finds_an_unresolved_reference():
               'def f(V):\n    """Takes ``V`` and ``missing.attr``."""\n    V.size = 1\n')
     assert defined_names(source) == {"f", "V", "size"}
     assert unresolved_references(source, defined_names(source)) == ["gone", "missing.attr"]
+
+
+def test_finds_an_unread_public_name():
+    source = ("def used():\n    pass\ndef unused():\n    pass\ndef _private():\n    pass\n"
+              "class C:\n    def run(self):\n        return used()\n    def idle(self):\n"
+              "        pass\n    def _hidden(self):\n        pass\nclass _P:\n"
+              "    def shown(self):\n        pass\nC().run()\nC\n")
+    assert public_definitions(source) == ["used", "unused", "C", "run", "idle"]
+    assert [n for n in public_definitions(source) if n not in read_names(source)] == [
+        "unused", "idle"]
 
 
 def test_finds_a_duplicate_definition():
@@ -175,3 +215,15 @@ KNOWN_NAMES = (
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_docstring_references_resolve(path):
     assert unresolved_references(path.read_text(encoding="utf-8"), KNOWN_NAMES) == []
+
+
+# the tests' reference implementations, which no package code needs
+TEST_REFERENCES = {"phi", "log_one_minus_phi"}
+# an ``__init__`` re-export is not a read
+READ_NAMES = set().union(*(read_names(p.read_text(encoding="utf-8")) for p in MODULES + HARNESS))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_public_name_is_read(path):
+    public = public_definitions(path.read_text(encoding="utf-8"))
+    assert [n for n in public if n not in READ_NAMES | TEST_REFERENCES] == []

@@ -9,7 +9,7 @@ from spectramap import fuzzy, spectra
 from spectramap.errors import ConfigurationError, EigensolverError, GraphStructureError
 from spectramap.equivalence import NULL_SPACE_TOL, random_connected_graph
 
-from conftest import random_similarity_graph
+from conftest import graph_from_sparse, random_similarity_graph
 
 
 class TestBuildLaplacians:
@@ -131,7 +131,7 @@ class TestSpectralInit:
 
 
 def _two_copies(V):
-    return sm.SimilarityGraph.from_sparse(sp.block_diag([V.matrix, V.matrix]).tocsr())
+    return graph_from_sparse(sp.block_diag([V.matrix, V.matrix]))
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +207,7 @@ class TestSparseSpectralInit:
         # must redraw the columns that vanish in Gram-Schmidt
         edge = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         triangle = sp.csr_matrix(np.ones((3, 3)) - np.eye(3))
-        V = sm.SimilarityGraph.from_sparse(sp.block_diag([edge] * 130 + [triangle]).tocsr())
+        V = graph_from_sparse(sp.block_diag([edge] * 130 + [triangle]))
         sol = sm.spectral_init(V, d)
         assert sol.n_null == 131
         np.testing.assert_allclose(sol.values, [1.5, 1.5, 2.0, 2.0][:d], atol=1e-12)
