@@ -271,7 +271,8 @@ def cmd_embed(args) -> int:
     }
     if sol is not None:
         report["spectral"] = {"values": sol.values.tolist(), "n_null": sol.n_null,
-                              "residual": sol.residual}
+                              "residual": sol.residual, "rounds": sol.rounds,
+                              "matvecs": sol.matvecs, "block_width": sol.block_width}
     (out_dir / "run.json").write_text(json.dumps(report, indent=2) + "\n")
     print(f"embedded {ds.data.n} points into {coords.shape[1]} dims; "
           f"outputs in {out_dir}")

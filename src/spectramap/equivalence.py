@@ -33,7 +33,7 @@ from .datasets import gen_blobs
 from .errors import ConfigurationError, GraphStructureError
 from .fuzzy import SimilarityGraph, build_similarity_graph
 from .kernels import KernelParams, fit_ab
-from .losses import attractive_term, expected_sgd_loss, first_order, step_losses
+from .losses import expected_sgd_loss, first_order, step_losses
 from .optim import SPECTRAL_MAX_ABS, EdgeSampler
 from .spectra import edge_sq_lengths, laplacian_quadratic, normalized_laplacian, spectral_init
 
@@ -90,25 +90,27 @@ def claim_rng(master_seed: int, claim: str) -> np.random.Generator:
     return np.random.default_rng([master_seed, CLAIM_IDS.index(claim)])
 
 
+def _blob_graph(seed, per: int, centers, k: int) -> SimilarityGraph:
+    """Fuzzy k-NN graph of ``per`` unit-spread points around each centre,
+    drawn from the first integer of ``default_rng(seed)``."""
+    ds = gen_blobs(per, centers, std=1.0, seed=int(np.random.default_rng(seed).integers(2**31)))
+    return build_similarity_graph(ds.data, k)
+
+
 def pipeline_graph(n: int, seed, k: int | None = None) -> SimilarityGraph:
     """Fuzzy graph of a two-blob cloud of n // 2 points per blob, built
     through the real pipeline; an odd n loses one point."""
     if n < 4:
         raise ConfigurationError("need n >= 4")
-    per = n // 2
-    centers = [(0.0, 0.0, 0.0), (BLOB_SEPARATION, 0.0, 0.0)]
-    blob_seed = int(np.random.default_rng(seed).integers(2**31))
-    ds = gen_blobs(per, centers, std=1.0, seed=blob_seed)
     if k is None:
-        k = min(10, ds.data.n - 1)
-    return build_similarity_graph(ds.data, k)
+        k = min(10, n // 2 * 2 - 1)
+    return _blob_graph(seed, n // 2, [(0.0, 0.0, 0.0), (BLOB_SEPARATION, 0.0, 0.0)], k)
 
 
-def connected_two_blob_graph(seed=0, n_per: int = 50, k: int = 15) -> SimilarityGraph:
-    """Two overlapping blobs whose fuzzy graph is a single component."""
-    blob_seed = int(np.random.default_rng(seed).integers(2**31))
-    ds = gen_blobs(n_per, [(0.0, 0.0), (4.0, 0.0)], std=1.0, seed=blob_seed)
-    V = build_similarity_graph(ds.data, k)
+def connected_two_blob_graph(seed=0) -> SimilarityGraph:
+    """Two overlapping blobs of 50 points whose fuzzy graph (k = 15) is a
+    single component."""
+    V = _blob_graph(seed, 50, [(0.0, 0.0), (4.0, 0.0)], 15)
     if V.components[0] != 1:
         raise GraphStructureError("expected the overlapping blobs to be connected")
     return V
@@ -130,8 +132,10 @@ def check_gaussian_exactness(n: int, d: int, tau: float, seed) -> EquivalenceRep
 
     Y is uniform in [-0.5, 0.5]^d, and the same Y is evaluated again rescaled
     to max-abs ``SPECTRAL_MAX_ABS``, the scale of the pipeline's spectral
-    start. The residual is the worse of the two. The attraction takes the
-    closed-form log phi with no clamp, so the identity holds at any scale.
+    start. The residual is the worse of the two. Both sides come from
+    ``losses.first_order``, whose form is the ``laplacian_form`` of
+    ``embed``'s trace; its attraction takes the closed-form log phi with no
+    clamp, so the identity holds at any scale.
     """
     V = pipeline_graph(n, seed)
     rng = np.random.default_rng(seed)
@@ -139,8 +143,7 @@ def check_gaussian_exactness(n: int, d: int, tau: float, seed) -> EquivalenceRep
     p = KernelParams.gaussian(tau)
     scales, residuals = [], []
     for Ys in (Y, Y * (SPECTRAL_MAX_ABS / np.abs(Y).max())):
-        att = attractive_term(V, Ys, p)
-        lap = (1.0 / tau) * laplacian_quadratic(V, Ys)
+        att, lap, _ = first_order(V, Ys, p)
         residuals.append(abs(att - lap) / abs(att) if att != 0 else abs(att - lap))
         scales.append(float(np.abs(Ys).max()))
     return EquivalenceReport(
@@ -154,13 +157,15 @@ def check_gaussian_exactness(n: int, d: int, tau: float, seed) -> EquivalenceRep
     )
 
 
-def _scaled_instance(n, d, scale, seed):
-    """Pipeline graph plus a random Y shrunk so max edge sq-dist equals scale."""
+def _scaled_instance(n, d, p, scale, seed):
+    """``first_order`` on a pipeline graph and a random Y shrunk so the longest
+    edge has sq-dist ``scale``, with the context the thm3.1b and eq20 reports share."""
     V = pipeline_graph(n, seed)
     rng = np.random.default_rng(seed)
     Y = rng.standard_normal((V.n, d))
     Y *= np.sqrt(scale / edge_sq_lengths(V, Y)[1].max())
-    return V, Y
+    context = {"n": V.n, "d": d, "kernel": "cauchy(a=%g, b=%g)" % (p.a, p.b), "scale": scale}
+    return *first_order(V, Y, p), context
 
 
 def check_cauchy_first_order(
@@ -172,45 +177,20 @@ def check_cauchy_first_order(
     a scale^b; the gap is then at most (X/2) form, and the relative gap at
     most (X/2) / (1 - X/2) <= X, the tolerance, while X <= 1.
     """
-    V, Y = _scaled_instance(n, d, scale, seed)
-    att, form, _ = first_order(V, Y, p)
-    residual = abs(att - form) / abs(att)
-    return EquivalenceReport(
-        claim="thm3.1b",
-        residual=residual,
-        tolerance=p.a * scale**p.b,
-        context={
-            "n": V.n,
-            "d": d,
-            "kernel": "cauchy(a=%g, b=%g)" % (p.a, p.b),
-            "scale": scale,
-            "seed": str(seed),
-        },
-    )
+    att, form, _, context = _scaled_instance(n, d, p, scale, seed)
+    return EquivalenceReport(claim="thm3.1b", residual=abs(att - form) / abs(att),
+                             tolerance=p.a * scale**p.b, context={**context, "seed": str(seed)})
 
 
 def check_taylor_bound(
     n: int, d: int, p: KernelParams, scale: float, seed
 ) -> EquivalenceReport:
     """The Cauchy kernel's measured first-order gap over its curvature bound (< 1)."""
-    V, Y = _scaled_instance(n, d, scale, seed)
-    att, form, bound = first_order(V, Y, p)
+    att, form, bound, context = _scaled_instance(n, d, p, scale, seed)
     gap = abs(att - form)
     residual = gap / bound if bound > 0 else (0.0 if gap == 0 else np.inf)
-    return EquivalenceReport(
-        claim="eq20_bound",
-        residual=residual,
-        tolerance=1.0,
-        context={
-            "n": V.n,
-            "d": d,
-            "kernel": "cauchy(a=%g, b=%g)" % (p.a, p.b),
-            "scale": scale,
-            "gap": gap,
-            "bound": bound,
-            "seed": str(seed),
-        },
-    )
+    return EquivalenceReport(claim="eq20_bound", residual=residual, tolerance=1.0,
+                             context={**context, "gap": gap, "bound": bound, "seed": str(seed)})
 
 
 def check_spectral_optimality(

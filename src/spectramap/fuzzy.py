@@ -306,7 +306,12 @@ def symmetrize(directed: sp.csr_matrix) -> SimilarityGraph:
     coo = directed.tocoo()
     key_fwd = coo.row.astype(np.int64) * n + coo.col
     key_bwd = coo.col.astype(np.int64) * n + coo.row
-    keys = np.unique(np.concatenate([key_fwd, key_bwd]))
+    # sort and keep each run's first key, which differs from its predecessor
+    # (the first from -1, as keys are >= 0): numpy 2.4's np.unique takes a
+    # hash path here, 0.33 s against np.sort's 0.008 s on the 893k keys of a
+    # 20,000-point k = 15 graph (2 CPUs)
+    keys = np.sort(np.concatenate([key_fwd, key_bwd]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
 
     p = np.zeros(keys.size)
     q = np.zeros(keys.size)

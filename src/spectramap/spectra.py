@@ -105,13 +105,19 @@ class SpectralSolution:
     (ascending) strictly above the zero eigenspace; ``n_null`` is the
     dimension of the discarded zero eigenspace, which equals the number of
     connected components; ``residual`` is the largest eigen-residual
-    ||Lnorm u - lambda u|| over the returned pairs.
+    ||Lnorm u - lambda u|| over the returned pairs. ``rounds`` counts the
+    solver's Rayleigh-Ritz steps, ``matvecs`` its block products with Lnorm
+    and ``block_width`` its final block's columns, which exceed d +
+    ``BLOCK_EXTRA`` only where the block was doubled.
     """
 
     vectors: np.ndarray
     values: np.ndarray
     n_null: int
     residual: float
+    rounds: int
+    matvecs: int
+    block_width: int
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
@@ -122,10 +128,11 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
 
 def _filtered_subspace(
     Ln: sp.csr_matrix, sqrt_deg: np.ndarray, labels: np.ndarray, d: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, int, int, int]:
     """Bottom d eigenpairs of Lnorm above the null space spanned by the
     per-component vectors D^{1/2} 1_c, by Chebyshev-filtered subspace
-    iteration (see the module docstring)."""
+    iteration (see the module docstring), then the round count, the count
+    of block products with Lnorm and the final block width."""
     n = Ln.shape[0]
     vol = np.bincount(labels, weights=sqrt_deg**2)
     # entries of the orthonormal null basis, one column per component
@@ -161,14 +168,16 @@ def _filtered_subspace(
     # the block fits in the complement of the null space
     room = n - vol.size
     X = rng.standard_normal((n, min(d + BLOCK_EXTRA, room)))
+    matvecs = 0
     for rounds in range(MAX_ROUNDS):
         X = orthonormalize(X)
         LX = Ln @ X
+        matvecs += 1
         theta, S = np.linalg.eigh(X.T @ LX)
         X, LX = X @ S, LX @ S
         residual = np.linalg.norm(LX[:, :d] - X[:, :d] * theta[:d], axis=0).max()
         if residual <= EIG_RESIDUAL_TOL / 100:
-            return theta[:d], X[:, :d]
+            return theta[:d], X[:, :d], rounds + 1, matvecs, X.shape[1]
         top_residual = np.linalg.norm(LX[:, -1] - X[:, -1] * theta[-1])
         if rounds and X.shape[1] < room and theta[-1] - theta[d - 1] < top_residual:
             # the block may sit inside one eigenspace, where the filter stalls
@@ -185,6 +194,7 @@ def _filtered_subspace(
             LX = M @ X
             LX -= prev
             prev, X = X, LX
+        matvecs += FILTER_DEGREE - 1
     raise EigensolverError(
         f"block solver did not converge (n={n}, d={d}, residual={residual:.3e} "
         f"after {MAX_ROUNDS} rounds)"
@@ -205,7 +215,7 @@ def spectral_init(V: SimilarityGraph, d: int) -> SpectralSolution:
         raise ConfigurationError(
             f"d={d} eigenvectors requested but only {V.n - n_null} non-null available"
         )
-    vals, vecs = _filtered_subspace(Ln, np.sqrt(V.degrees()), labels, d)
+    vals, vecs, rounds, matvecs, width = _filtered_subspace(Ln, np.sqrt(V.degrees()), labels, d)
     residual = float(np.linalg.norm(Ln @ vecs - vecs * vals, axis=0).max())
     if not residual <= EIG_RESIDUAL_TOL:
         raise EigensolverError(
@@ -214,5 +224,5 @@ def spectral_init(V: SimilarityGraph, d: int) -> SpectralSolution:
         )
     return SpectralSolution(
         vectors=_fix_signs(vecs), values=vals.copy(), n_null=int(n_null),
-        residual=residual,
+        residual=residual, rounds=rounds, matvecs=matvecs, block_width=width,
     )

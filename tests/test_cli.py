@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import spectramap as sm
-from spectramap import equivalence
+from spectramap import losses
 from spectramap.cli import build_parser, main
+from spectramap.spectra import BLOCK_EXTRA, FILTER_DEGREE
 
 from conftest import negated_laplacian_quadratic, read_edge_list
 
@@ -118,6 +119,10 @@ class TestEmbed:
         assert spectral["values"] == sorted(spectral["values"])
         assert spectral["n_null"] == graph["components"]
         assert 0.0 <= spectral["residual"] <= 1e-8
+        # no eigenvalue repeats, so the block keeps its width; each round
+        # makes one product, and each but the last FILTER_DEGREE - 1 more
+        assert spectral["block_width"] == 2 + BLOCK_EXTRA
+        assert spectral["matvecs"] == 1 + (spectral["rounds"] - 1) * FILTER_DEGREE
 
     def test_svg_well_formed_one_marker_per_point(self, tmp_path):
         code, out = self._embed(tmp_path)
@@ -359,6 +364,17 @@ class TestVerify:
         assert report["all_passed"] is True
         assert (out / "report.txt").exists()
 
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="with one usable CPU, BLAS runs one thread and splits no sum")
+    def test_reports_independent_of_blas_threads(self, tmp_path):
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            assert run_main_child(["verify", "--out-dir", out],
+                                  OPENBLAS_NUM_THREADS=threads).returncode == 0
+            outputs.append([(out / name).read_bytes() for name in ("report.json", "report.txt")])
+        assert outputs[0] == outputs[1]
+
     def test_claim_filter_runs_single_claim(self, tmp_path):
         out = tmp_path / "verify"
         code = run_cli("verify", "--claims", "lemmaA1", "--out-dir", out)
@@ -376,7 +392,7 @@ class TestVerify:
         assert "wall" not in (out / "report.json").read_text()
 
     def test_sabotage_exits_nonzero(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(equivalence, "laplacian_quadratic", negated_laplacian_quadratic)
+        monkeypatch.setattr(losses, "laplacian_quadratic", negated_laplacian_quadratic)
         out = tmp_path / "verify"
         code = run_cli("verify", "--claims", "thm3.1a", "--out-dir", out)
         assert code == 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spectramap as sm
-from spectramap import equivalence as eq, spectra
+from spectramap import equivalence as eq, losses, spectra
 from spectramap.errors import ConfigurationError, GraphStructureError
 
 from conftest import negated_laplacian_quadratic, stochastic_step_loss
@@ -26,7 +26,7 @@ class TestGaussianExactness:
         assert att == lap == 0.0
 
     def test_sabotage_breaks_it(self, monkeypatch):
-        monkeypatch.setattr(eq, "laplacian_quadratic", negated_laplacian_quadratic)
+        monkeypatch.setattr(losses, "laplacian_quadratic", negated_laplacian_quadratic)
         rep = eq.check_gaussian_exactness(30, 2, 1.0, 0)
         assert not rep.passed
 
@@ -55,7 +55,7 @@ class TestGaussianExactness:
             s = np.sum((Y[coo.row] - Y[coo.col]) ** 2, axis=1)
             return -float(coo.data @ np.log(np.maximum(sm.phi(s, p), 1e-12)))
 
-        monkeypatch.setattr(eq, "attractive_term", clamped)
+        monkeypatch.setattr(losses, "attractive_term", clamped)
         rep = eq.check_gaussian_exactness(30, 2, 0.5, 0)
         small, large = rep.context["residuals"]
         assert small <= 1e-10 < large
@@ -283,7 +283,7 @@ class TestSuite:
             eq.run_suite(claims=[])
 
     def test_sabotage_fails_gaussian_claim(self, monkeypatch):
-        monkeypatch.setattr(eq, "laplacian_quadratic", negated_laplacian_quadratic)
+        monkeypatch.setattr(losses, "laplacian_quadratic", negated_laplacian_quadratic)
         result = eq.run_suite(master_seed=42, claims=["thm3.1a"])
         assert not result.all_passed
         assert all(r.claim == "thm3.1a" for r in result.reports if not r.passed)

@@ -171,6 +171,20 @@ class TestSymmetrize:
         _, V = self._graph()
         assert V.matrix.diagonal().max() == 0.0
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 30), unit, st.integers(0, 2**31 - 1))
+    def test_matches_dense_t_conorm(self, n, density, seed):
+        # positive directed weights, as directed_weights stores them; an
+        # empty matrix included
+        rng = np.random.default_rng(seed)
+        dense = np.where(rng.random((n, n)) < density, rng.uniform(0.01, 1.0, (n, n)), 0.0)
+        np.fill_diagonal(dense, 0.0)
+        V = sm.symmetrize(sp.csr_matrix(dense))
+        want = t_conorm(dense, dense.T)
+        rows, cols = np.nonzero(want)
+        assert np.array_equal(V.rows, rows) and np.array_equal(V.cols, cols)
+        assert np.array_equal(V.weights, want[rows, cols])
+
     def test_single_direction_passthrough(self):
         m = sp.csr_matrix(np.array([[0.0, 0.4], [0.0, 0.0]]))
         V = sm.symmetrize(m)

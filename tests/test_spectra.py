@@ -226,6 +226,7 @@ class TestSparseSpectralInit:
         sol = sm.spectral_init(V, d)
         np.testing.assert_allclose(sol.values, [value] * d, rtol=1e-12)
         assert sol.residual <= 1e-8
+        assert sol.block_width > d + spectra.BLOCK_EXTRA
 
 
 def _component(kind, size, rng):
