@@ -4,10 +4,12 @@ Flag values override an optional key=value config file (--config) whose keys
 are the subcommand's flag names; every effective value is echoed into the
 run's JSON report so results reproduce from the report alone.
 
-A failed run ends with one line, ``error [stage]: …``, printed by ``main``,
-and exits 2; each stage names the exceptions it reports through ``_stage``.
-Outputs are written only once every stage has returned, so a run that fails
-in a stage leaves no output directory or file behind.
+Exit codes: 0 when the command is done, 1 when ``verify`` finds a failed
+claim, 2 for a named error: one of ``NAMED_ERRORS`` in a ``_stage``, or an
+OSError reading an input or writing an output. ``main`` prints that as one
+line, ``error [stage]: …``; any other exception is a bug and ends in a
+traceback. Outputs are written only once every stage has returned, so a run
+that fails in a stage leaves no output directory or file behind.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ import numpy as np
 from . import equivalence
 from .datasets import (DataMatrix, LabeledDataset, gen_blobs, gen_two_moons, load_csv,
                        read_utf8, save_csv)
-from .errors import (ConfigurationError, EigensolverError, GraphStructureError, KernelFitError,
-                     OptimizationError, ParseError)
+from .errors import NAMED_ERRORS, ConfigurationError, require_addressable
 from .fuzzy import directed_weights, smooth_knn_params, symmetrize
 from .kernels import KernelParams, fit_ab
 from .knn import knn_search
@@ -39,7 +40,7 @@ class _Failed(Exception):
 
 
 @contextmanager
-def _stage(tag: str, *kinds: type[BaseException]):
+def _stage(tag: str, kinds: tuple[type[BaseException], ...] = NAMED_ERRORS):
     """Turn an exception of ``kinds`` raised in the block into ``_Failed``."""
     try:
         yield
@@ -152,10 +153,8 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> argparse.Na
 def _make_dataset(args) -> LabeledDataset:
     if args.input:
         return load_csv(args.input, has_labels=args.has_labels)
-    # numpy rejects an array past the address space with a bare ValueError
     dim = 2 if args.gen == "moons" else args.data_dim
-    if args.n * dim > np.iinfo(np.intp).max // 8:
-        raise ConfigurationError(f"--n ({args.n}) points in {dim} dims exceed the address space")
+    require_addressable(args.n * dim, f"--n ({args.n}) points in {dim} dims")
     if args.gen == "moons":
         return gen_two_moons(args.n, args.noise, args.seed)
     if args.gen == "blobs":
@@ -187,7 +186,7 @@ def _effective_config(args) -> dict:
 
 
 def cmd_gen_data(args) -> int:
-    with _stage("datasets", ConfigurationError, ParseError, OSError, MemoryError):
+    with _stage("datasets", NAMED_ERRORS + (OSError,)):
         ds = _make_dataset(args)
     save_csv(ds, args.out)
     print(f"wrote {ds.data.n} points x {ds.data.dim} dims to {args.out}")
@@ -209,11 +208,11 @@ def _resolve_kernel(args) -> tuple[KernelParams, dict]:
 
 
 def cmd_embed(args) -> int:
-    with _stage("datasets", ConfigurationError, ParseError, OSError, MemoryError):
+    with _stage("datasets", NAMED_ERRORS + (OSError,)):
         ds = _make_dataset(args)
-    with _stage("kernel", ConfigurationError, KernelFitError):
+    with _stage("kernel"):
         kernel, fit_info = _resolve_kernel(args)
-    with _stage("optimizer", ConfigurationError):
+    with _stage("optimizer"):
         cfg = OptimizerConfig(
             n_epochs=args.epochs,
             n_neg=args.neg,
@@ -224,15 +223,14 @@ def cmd_embed(args) -> int:
             move_other=args.move_other,
             samples_per_epoch=args.samples_per_epoch,
         )
-    with _stage("config", ConfigurationError):
+    with _stage("config"):
         config = _effective_config(args)
-    with _stage(f"graph, k={args.k}", ConfigurationError, GraphStructureError, MemoryError):
+    with _stage(f"graph, k={args.k}"):
         knn = knn_search(ds.data, args.k)
         calibration = smooth_knn_params(knn)
         V = symmetrize(directed_weights(knn, calibration))
     sol = None
-    with _stage(f"optimizer, init={args.init}", ConfigurationError, GraphStructureError,
-                EigensolverError, OptimizationError, MemoryError):
+    with _stage(f"optimizer, init={args.init}"):
         if args.init == "spectral":
             sol = spectral_init(V, args.dim)
             Y0 = spectral_embedding(sol)
@@ -281,7 +279,7 @@ def cmd_embed(args) -> int:
 
 def cmd_verify(args) -> int:
     claims = None if args.claims is None else args.claims.split(",")
-    with _stage("verify", ConfigurationError, MemoryError):
+    with _stage("verify"):
         result = equivalence.run_suite(
             master_seed=args.seed,
             claims=claims,
@@ -305,7 +303,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fit_ab(args) -> int:
-    with _stage("kernel", ConfigurationError, KernelFitError):
+    with _stage("kernel"):
         fit = fit_ab(args.min_dist)
     print(f"min_dist={fit.min_dist} a={fit.fitted_a:.6f} b={fit.fitted_b:.6f} "
           f"rmse={fit.fit_rmse:.6e}")
@@ -324,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     try:
-        with _stage("config", ConfigurationError, ParseError):
+        with _stage("config"):
             if args.config:
                 args = _apply_config_file(args, argv)
             if args.seed < 0:
@@ -332,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigurationError("--seed must be >= 0")
         # every input is read inside a command's own stage, so an OSError
         # that reaches here came from writing an output
-        with _stage("output", OSError):
+        with _stage("output", (OSError,)):
             return COMMANDS[args.command](args)
     except _Failed as exc:
         print(exc, file=sys.stderr)

@@ -14,8 +14,8 @@ reports the measured residual against a fixed tolerance. Claim ids:
     a3_relaxation    (L, D) generalized eigenpairs map onto normalized ones
 
 ``run_suite`` runs them in the order thm3.1a, thm3.1b, eq20_bound, thm3.1c,
-eq13_montecarlo, lemmaA1, a3_relaxation, each on its own ``claim_rng``
-stream, keyed by the claim's place in ``CLAIM_IDS`` (the order above).
+eq13_montecarlo, lemmaA1, a3_relaxation, each on its own stream, keyed by
+the claim's place in ``CLAIM_IDS`` (the order above).
 The dense oracles of thm3.1c, lemmaA1 and a3_relaxation live in their
 claims, never in the modules they certify.
 """
@@ -83,11 +83,6 @@ class EquivalenceReport:
             "passed": self.passed,
             "context": dict(self.context),
         }
-
-
-def claim_rng(master_seed: int, claim: str) -> np.random.Generator:
-    """Independent stream per claim, derived from (master seed, claim id)."""
-    return np.random.default_rng([master_seed, CLAIM_IDS.index(claim)])
 
 
 def _blob_graph(seed, per: int, centers, k: int) -> SimilarityGraph:
@@ -284,7 +279,7 @@ def check_expected_loss(
         raise ConfigurationError("need at least two draws for a standard error")
     rng = np.random.default_rng(seed)
     losses = mc_step_losses(V, Y, p, n_neg, n_draws, rng)
-    total_w = V.total_weight()
+    total_w = float(np.sum(V.weights))  # v_ij over ordered pairs
     mc = total_w * float(losses.mean())
     if np.ptp(losses) == 0:
         se = 0.0
@@ -461,7 +456,7 @@ def run_suite(
     n_draws: int = 200_000,
 ) -> SuiteResult:
     """Evaluate every claim (or a filtered subset) in the run order of the
-    module docstring, each on its own ``claim_rng`` stream."""
+    module docstring, each on its own stream keyed by its place in ``CLAIM_IDS``."""
     wanted = set(CLAIM_IDS if claims is None else claims)
     if not wanted:
         raise ConfigurationError("no claim ids to run")
@@ -472,7 +467,7 @@ def run_suite(
     for claim, run in _CLAIM_RUNS.items():
         if claim in wanted:
             start = time.perf_counter()
-            run(claim_rng(master_seed, claim), n_draws, result)
+            run(np.random.default_rng([master_seed, CLAIM_IDS.index(claim)]), n_draws, result)
             result.claim_wall_s[claim] = time.perf_counter() - start
     return result
 

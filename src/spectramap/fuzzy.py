@@ -141,7 +141,6 @@ def directed_weights(knn: KnnGraph, params: SmoothKnnParams) -> sp.csr_matrix:
         (vals.ravel(), (rows, knn.indices.ravel())), shape=(n, n)
     )
     mat.eliminate_zeros()
-    mat.sort_indices()
     return mat
 
 
@@ -280,10 +279,6 @@ class SimilarityGraph:
         """d_i = sum_j v_ij for every vertex: ``matrix``'s row sums, computed
         per call into a fresh array."""
         return np.asarray(self.matrix.sum(axis=1)).ravel()
-
-    def total_weight(self) -> float:
-        """Sum of v_ij over ordered pairs (twice the undirected total)."""
-        return float(np.sum(self.weights))
 
     def edges(self):
         """Upper-triangle edge view: (i, j, w) arrays with i < j."""

@@ -110,21 +110,15 @@ class KnnGraph:
     exact_evals: int
 
 
-def row_blocks(n: int):
-    """Consecutive (start, stop) row ranges whose n-column float64 block takes
-    about ``BLOCK_BYTES`` (at least one row each)."""
-    block = max(1, BLOCK_BYTES // (8 * n))
-    for start in range(0, n, block):
-        yield start, min(n, start + block)
-
-
 def row_block_buffers(n: int, count: int):
-    """``row_blocks(n)`` with ``count`` float64 (stop - start, n) arrays per
-    block, views of buffers allocated once for the whole sweep: a fresh
-    block-sized array per block is page-faulted anew each time."""
-    size = max(stop - start for start, stop in row_blocks(n)) * n
-    bufs = [np.empty(size) for _ in range(count)]
-    for start, stop in row_blocks(n):
+    """Consecutive (start, stop) row ranges whose n-column float64 block takes
+    about ``BLOCK_BYTES`` (at least one row each), each with ``count`` float64
+    (stop - start, n) arrays, views of buffers allocated once for the whole
+    sweep: a fresh block-sized array per block is page-faulted anew each time."""
+    block = max(1, BLOCK_BYTES // (8 * n))
+    bufs = [np.empty(min(block, n) * n) for _ in range(count)]
+    for start in range(0, n, block):
+        stop = min(n, start + block)
         yield (start, stop, *(b[: (stop - start) * n].reshape(-1, n) for b in bufs))
 
 

@@ -36,7 +36,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigurationError, OptimizationError
+from .errors import ConfigurationError, OptimizationError, require_addressable
 from .fuzzy import SimilarityGraph
 from .kernels import KernelParams, grad_log_one_minus_phi_rows, grad_log_phi_rows
 from .losses import LossReport, cross_entropy_loss, event_losses
@@ -113,6 +113,7 @@ class EdgeSampler:
         uniforms (an edge ~ weight), fair orientation coins, then the
         (size, n_neg) uniform negatives row by row; a negative may be its own
         anchor."""
+        require_addressable(size * max(2, n_neg), f"{size} events with {n_neg} negatives each")
         slot = rng.integers(0, self.prob.size, size=size)
         accept = rng.random(size) < self.prob[slot]
         pairs = self.endpoints[np.where(accept, slot, self.alias[slot])]
@@ -156,6 +157,7 @@ def random_embedding(n: int, d: int, seed: int) -> Embedding:
     the first epoch's edge draws as a function of the start."""
     if d < 1:
         raise ConfigurationError("d must be >= 1")
+    require_addressable(n * d, f"{n} points in {d} dims")
     rng = np.random.default_rng([seed, 1])
     return Embedding(rng.uniform(-10.0, 10.0, size=(n, d)), "random")
 

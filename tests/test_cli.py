@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import spectramap as sm
-from spectramap import losses
+from spectramap import equivalence, losses
 from spectramap.cli import build_parser, main
+from spectramap.errors import EigensolverError
 from spectramap.spectra import BLOCK_EXTRA, FILTER_DEGREE
 
 from conftest import negated_laplacian_quadratic, read_edge_list
@@ -542,6 +543,7 @@ def test_negative_seed_is_a_config_error(tmp_path, command):
 
 
 MOONS = ["--gen", "moons", "--n", 40]
+EMBED_ONE_EPOCH = ["--gen", "moons", "--n", 60, "--k", 5, "--epochs", 1]
 
 
 @pytest.mark.parametrize("command, tag", [
@@ -639,9 +641,39 @@ def test_dataset_past_the_address_space_is_a_named_error(tmp_path, capsys, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["embed", *EMBED_ONE_EPOCH, "--samples-per-epoch", 2**62],
+    ["embed", *EMBED_ONE_EPOCH, "--neg", 2**62, "--samples-per-epoch", 10],
+    ["embed", *EMBED_ONE_EPOCH, "--init", "random", "--dim", 2**62],
+    ["verify", "--claims", "eq13_montecarlo", "--draws", 2**60],
+], ids=["samples", "neg", "random-dim", "draws"])
+def test_setting_past_the_address_space_is_a_named_error(tmp_path, capsys, args):
+    """Numpy rejects an array past the address space with a bare ValueError;
+    the sampler and the random start name the setting instead."""
+    out = tmp_path / "out"
+    assert run_cli(*args, "--out-dir", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error [")
+    assert err[0].endswith("exceed the address space")
+    assert not out.exists()
+
+
+def test_solver_error_in_a_claim_is_not_a_failed_claim(tmp_path, capsys, monkeypatch):
+    """``verify`` exits 1 only for a failed claim: a named error raised
+    inside a claim ends the run in its stage, with exit 2."""
+    def broken(*args):
+        raise EigensolverError("solver gave up")
+
+    monkeypatch.setattr(equivalence, "spectral_init", broken)
+    out = tmp_path / "out"
+    assert run_cli("verify", "--claims", "thm3.1c", "--out-dir", out) == 2
+    assert capsys.readouterr().err.splitlines() == ["error [verify]: solver gave up"]
+    assert not out.exists()
+
+
 def test_unnamed_error_propagates(tmp_path, monkeypatch):
-    """A stage reports only the errors it names; any other is a bug and
-    leaves ``main`` as it is."""
+    """A stage reports only the package's named errors (and, reading input
+    files, ``OSError``); any other is a bug and leaves ``main`` as it is."""
     def broken(*args):
         raise RuntimeError("not a named error")
 

@@ -303,7 +303,7 @@ class TestGraphValidation:
         assert np.array_equal(i, coo.row[up]) and np.array_equal(j, coo.col[up])
         assert np.array_equal(w, coo.data[up])
         assert np.array_equal(V.degrees(), np.asarray(m.sum(axis=1)).ravel())
-        assert V.total_weight() == float(m.sum())
+        assert float(np.sum(V.weights)) == float(m.sum())
         assert V.nnz == m.nnz
         Y = np.random.default_rng(V.nnz).standard_normal((V.n, 2))
         diff = Y[coo.row] - Y[coo.col]

@@ -115,7 +115,7 @@ class TestCrossEntropyLoss:
         p = sm.KernelParams.cauchy(1.2, 0.9)
         one_block = sm.expected_sgd_loss(V, Y, p, n_neg)
         monkeypatch.setattr(knn, "BLOCK_BYTES", 8 * n * 7)
-        assert len(list(knn.row_blocks(n))) == 6
+        assert len(list(knn.row_block_buffers(n, 0))) == 6
         for q in (p, sm.KernelParams.gaussian(0.9)):
             rep = sm.cross_entropy_loss(V, Y, q)
             attract, repel = dense_loss_oracle(V, Y, q)
@@ -296,7 +296,7 @@ class TestExpectedSgdLoss:
                     prob = 0.5 * 0.25
                     total += prob * stochastic_step_loss(a, b, [c1, c2], Y, p)
         expected = sm.expected_sgd_loss(k2_graph, Y, p, n_neg)
-        scale = k2_graph.total_weight()
+        scale = float(np.sum(k2_graph.weights))
         np.testing.assert_allclose(scale * total, expected, rtol=1e-12)
 
 

@@ -327,7 +327,7 @@ class TestExpectationLink:
                 for s in range(n_samples)
             ]
         )
-        scale = V.total_weight()
+        scale = float(np.sum(V.weights))
         mc = scale * losses.mean()
         se = scale * losses.std(ddof=1) / np.sqrt(n_samples)
         expected = sm.expected_sgd_loss(V, Y, p, n_neg)
@@ -345,7 +345,7 @@ class TestExpectationLink:
             n_epochs=1, n_neg=5, initial_lr=1e-12, seed=32, samples_per_epoch=20_000
         )
         stats = sm.optimize(V, Y0, p, cfg, track_loss=False).trace[1].stats
-        scale = V.total_weight()
+        scale = float(np.sum(V.weights))
         expected = sm.expected_sgd_loss(V, Y0.coords, p, cfg.n_neg)
         assert abs(scale * stats.step_loss_mean - expected) <= 3.0 * scale * stats.step_loss_se
 

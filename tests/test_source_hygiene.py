@@ -11,7 +11,8 @@ import scipy.linalg.blas
 import spectramap
 from spectramap.cli import COMMANDS
 
-SOURCES = sorted(Path(spectramap.__file__).parent.glob("*.py"))
+SOURCE_DIR = Path(spectramap.__file__).parent
+SOURCES = sorted(SOURCE_DIR.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
 # the benchmark harness, its own tests aside
@@ -142,6 +143,17 @@ def read_names(source: str) -> set[str]:
     return read
 
 
+def stage_error_names(source: str, classes: set[str]) -> list[str]:
+    """Each name in ``classes`` that an argument of a ``_stage(...)`` call,
+    positional or keyword, names."""
+    return [node.id for call in ast.walk(ast.parse(source))
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id == "_stage"
+            for arg in [*call.args, *(k.value for k in call.keywords)]
+            for node in ast.walk(arg)
+            if isinstance(node, ast.Name) and node.id in classes]
+
+
 def test_finds_an_unused_import():
     source = "import os\nimport numpy as np\nfrom .spectra import a, b\nnp.zeros(a)\n"
     assert unused_imports(source) == ["b", "os"]
@@ -181,6 +193,25 @@ def test_finds_a_duplicate_definition():
               "    def g(self):\n        pass\n    def h(self):\n        def f():\n"
               "            pass\ndef f():\n    pass\nclass D:\n    pass\n")
     assert duplicate_definitions(source) == ["<module>:f", "C:g"]
+
+
+def test_finds_a_stage_that_names_an_error():
+    source = ("with _stage('a', (ParseError, OSError)):\n    pass\n"
+              "with _stage('b', NAMED_ERRORS + (KernelFitError,)):\n    pass\n"
+              "with _stage('c', kinds=(ParseError,)):\n    pass\n"
+              "with _stage('d'):\n    raise ParseError\n")
+    assert sorted(stage_error_names(source, {"ParseError", "KernelFitError"})) == [
+        "KernelFitError", "ParseError", "ParseError"]
+
+
+def test_no_stage_names_a_package_error():
+    """A CLI stage reports ``errors.NAMED_ERRORS`` whole, so a new error class
+    needs no edit to the CLI."""
+    errors = ast.parse(SOURCE_DIR.joinpath("errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    assert classes
+    cli = SOURCE_DIR.joinpath("cli.py").read_text(encoding="utf-8")
+    assert "_stage(" in cli and stage_error_names(cli, classes) == []
 
 
 @pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")
