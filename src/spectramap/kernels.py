@@ -26,6 +26,8 @@ import numpy as np
 
 from .errors import ConfigurationError, KernelFitError
 
+# the min-dist that ``embed`` and ``fit-ab`` fit (a, b) at unless told otherwise
+DEFAULT_MIN_DIST = 0.1
 FIT_GRID_STEP = 0.01
 FIT_GRID_MAX = 3.0
 FIT_MAX_ITERS = 200

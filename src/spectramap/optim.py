@@ -28,10 +28,9 @@ one.
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -195,8 +194,7 @@ class EpochRecord:
     ``loss`` is the full cross-entropy of this state, present only on the
     first and the final entry (and on neither without ``track_loss``).
     ``stats`` and ``wall_s`` describe the epoch that produced this state;
-    epoch 0 has neither. ``to_json`` leaves ``wall_s`` out so that a trace
-    repeats byte for byte under a fixed seed.
+    epoch 0 has neither.
     """
 
     epoch: int
@@ -205,25 +203,12 @@ class EpochRecord:
     stats: EpochStats | None = None
     wall_s: float | None = None
 
-    def to_json(self) -> str:
-        body = {"epoch": self.epoch, "alpha": self.alpha}
-        if self.loss is not None:
-            body.update(asdict(self.loss))
-        if self.stats is not None:
-            body.update(asdict(self.stats))
-        return json.dumps(body)
-
 
 @dataclass
 class OptimizeResult:
     embedding: Embedding
     trace: list[EpochRecord] = field(default_factory=list)
     self_collisions: int = 0
-
-    def write_trace_jsonl(self, path) -> None:
-        with open(path, "w") as fh:
-            for rec in self.trace:
-                fh.write(rec.to_json() + "\n")
 
 
 def wave_schedule(

@@ -13,6 +13,7 @@ import spectramap as sm
 from spectramap import equivalence, losses
 from spectramap.cli import build_parser, main
 from spectramap.errors import EigensolverError
+from spectramap.kernels import DEFAULT_MIN_DIST
 from spectramap.spectra import BLOCK_EXTRA, FILTER_DEGREE
 
 from conftest import negated_laplacian_quadratic, read_edge_list
@@ -28,6 +29,15 @@ def run_child(code, *options, **env):
     env = dict(os.environ, PYTHONPATH=str(Path(sm.__file__).parents[1]), **env)
     return subprocess.run([sys.executable, *options, "-c", code], capture_output=True,
                           text=True, env=env)
+
+
+def strict_json(text):
+    """``json.loads(text)``, failing on the non-JSON constants ``NaN``,
+    ``Infinity`` and ``-Infinity``."""
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def run_main_child(args, *options, **env):
@@ -181,6 +191,12 @@ class TestEmbed:
         assert (args.neg, args.lr, args.clip, args.eps) == (
             cfg.n_neg, cfg.initial_lr, cfg.clip, cfg.eps)
 
+    def test_min_dist_default_is_the_kernel_default(self):
+        """``embed``, ``fit-ab`` and verify's fitted kernel share one min-dist."""
+        embed = build_parser().parse_args(["embed", "--gen", "moons", "--out-dir", "x"])
+        fit = build_parser().parse_args(["fit-ab"])
+        assert embed.min_dist == fit.min_dist == DEFAULT_MIN_DIST == 0.1
+
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
                         reason="with one usable CPU, BLAS runs one thread and splits no sum")
     def test_losses_independent_of_blas_threads(self, tmp_path):
@@ -239,6 +255,14 @@ class TestEmbed:
         assert code == 0
         records = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
         assert len(records) == 21
+        # the endpoints carry the full loss, every later line its epoch's
+        # stats, and no line a wall time
+        loss_keys = ["total", "attract", "repel", "laplacian_form", "taylor_bound"]
+        stats_keys = ["waves", "self_collisions", "clip_frac", "step_loss_mean", "step_loss_se"]
+        assert list(records[0]) == ["epoch", "alpha", *loss_keys]
+        assert all(list(rec) == ["epoch", "alpha", *stats_keys] for rec in records[1:-1])
+        assert list(records[-1]) == ["epoch", "alpha", *loss_keys, *stats_keys]
+        assert [rec["epoch"] for rec in records] == list(range(21))
         for rec in records[1:]:
             assert rec["waves"] >= 1
             assert 0.0 <= rec["clip_frac"] <= 1.0
@@ -299,12 +323,18 @@ class TestEmbed:
     def test_infinite_setting_is_strict_json(self, tmp_path, flags, key, value):
         code, out = self._embed(tmp_path, *flags)
         assert code == 0
-
-        def reject(name):
-            raise ValueError(f"run.json holds the non-JSON constant {name}")
-
-        report = json.loads((out / "run.json").read_text(), parse_constant=reject)
+        report = strict_json((out / "run.json").read_text())
         assert report["config"][key] == value
+
+    def test_infinite_bound_is_strict_json(self, tmp_path):
+        # at a = 1e300 the curvature bound on the first-order gap overflows
+        out = tmp_path / "run"
+        assert run_cli("embed", "--gen", "moons", "--n", 30, "--k", 5, "--epochs", 1,
+                       "--a", 1e300, "--b", 1, "--out-dir", out) == 0
+        records = [strict_json(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+        assert [rec["taylor_bound"] for rec in records] == ["inf", "inf"]
+        assert strict_json((out / "run.json").read_text())["config"]["a"] == 1e300
+        assert len(strict_json((out / "timing.json").read_text())["epoch_wall_s"]) == 1
 
     @pytest.mark.parametrize("flags", [
         # finite coordinates whose squared distances overflow
@@ -391,6 +421,23 @@ class TestVerify:
         assert sorted(wall) == sorted(claims)
         assert all(t > 0.0 for t in wall.values())
         assert "wall" not in (out / "report.json").read_text()
+
+    def test_non_finite_residual_is_strict_json(self, tmp_path, capsys, monkeypatch):
+        """A claim whose measurement is not finite fails as a claim, and its
+        report still parses as strict JSON."""
+        monkeypatch.setattr(equivalence, "step_losses",
+                            lambda Y, anchors, *rest: np.full(anchors.size, np.inf))
+        out = tmp_path / "verify"
+        with np.errstate(invalid="ignore"):  # inf - inf in the spread of the draws
+            code = run_cli("verify", "--claims", "eq13_montecarlo", "--draws", 1000,
+                           "--out-dir", out)
+        assert code == 1
+        assert "FAILED claims: eq13_montecarlo" in capsys.readouterr().err
+        report = strict_json((out / "report.json").read_text())
+        [claim] = report["reports"]
+        assert (claim["residual"], claim["passed"]) == ("nan", False)
+        assert claim["context"]["monte_carlo"] == "inf"
+        strict_json((out / "timing.json").read_text())
 
     def test_sabotage_exits_nonzero(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(losses, "laplacian_quadratic", negated_laplacian_quadratic)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import spectramap as sm
 from spectramap import equivalence as eq, losses, spectra
+from spectramap.cli import main
 from spectramap.errors import ConfigurationError, GraphStructureError
 
 from conftest import negated_laplacian_quadratic, stochastic_step_loss
@@ -288,11 +289,17 @@ class TestSuite:
         assert not result.all_passed
         assert all(r.claim == "thm3.1a" for r in result.reports if not r.passed)
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
+        """``verify``'s report.json holds every field of every report, in order."""
         result = eq.run_suite(master_seed=42, claims=["lemmaA1", "thm3.1a"])
-        body = json.loads(result.to_json())
+        assert main(["verify", "--claims", "lemmaA1,thm3.1a", "--out-dir", str(tmp_path)]) == 0
+        body = json.loads((tmp_path / "report.json").read_text())
         assert body["all_passed"] is True
         assert len(body["reports"]) == 4  # 3 gaussian rows + 1 identity row
+        assert all(list(r) == ["claim", "residual", "tolerance", "passed", "context"]
+                   for r in body["reports"])
+        assert [r.pop("passed") for r in body["reports"]] == [True] * 4
+        assert [eq.EquivalenceReport(**r) for r in body["reports"]] == result.reports
 
     def test_table_has_three_kernel_rows(self):
         result = eq.run_suite(master_seed=42, n_draws=20_000)
@@ -317,9 +324,7 @@ class TestSuite:
         )
         for claim in eq.CLAIM_IDS:
             alone = eq.run_suite(master_seed=42, claims=[claim], n_draws=2000)
-            assert [r.to_json_dict() for r in alone.reports] == [
-                r.to_json_dict() for r in full.reports if r.claim == claim
-            ]
+            assert alone.reports == [r for r in full.reports if r.claim == claim]
 
     def test_reports_deterministic(self):
         a = eq.run_suite(master_seed=7, claims=["thm3.1a", "lemmaA1"])

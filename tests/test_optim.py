@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -294,18 +292,16 @@ class TestOptimize:
         res = sm.optimize(two_blob_graph, Y0, p, cfg)
         assert res.trace[-1].loss.total < res.trace[0].loss.total
 
-    def test_trace_jsonl_round_trip(self, two_blob_graph, tmp_path):
-        import json
-
+    def test_trace_records(self, two_blob_graph):
         Y0 = sm.spectral_embedding(sm.spectral_init(two_blob_graph, 2))
         cfg = small_config(n_epochs=2)
         res = sm.optimize(two_blob_graph, Y0, sm.KernelParams.cauchy(), cfg)
-        path = tmp_path / "trace.jsonl"
-        res.write_trace_jsonl(path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 3
-        first = json.loads(lines[0])
-        assert {"epoch", "alpha", "total", "attract", "repel"} <= set(first)
+        assert [rec.epoch for rec in res.trace] == [0, 1, 2]
+        assert [rec.alpha for rec in res.trace] == [cfg.initial_lr, cfg.initial_lr / 2, 0.0]
+        # the full loss on the endpoints alone
+        assert [rec.loss is not None for rec in res.trace] == [True, False, True]
+        first = res.trace[0].loss
+        assert np.isfinite([first.total, first.attract, first.repel]).all()
 
 
 class TestExpectationLink:
@@ -453,7 +449,7 @@ class TestWaveSchedule:
         ] == step_stats
         assert sum(rec.stats.self_collisions for rec in res.trace[1:]) == collisions
 
-    def test_epoch_stats_on_two_blobs(self, two_blob_graph, tmp_path):
+    def test_epoch_stats_on_two_blobs(self, two_blob_graph):
         Y0 = sm.spectral_embedding(sm.spectral_init(two_blob_graph, 2))
         cfg = small_config(n_epochs=2, n_neg=5)
         res = sm.optimize(two_blob_graph, Y0, sm.KernelParams.cauchy(), cfg,
@@ -465,13 +461,6 @@ class TestWaveSchedule:
             assert 0.0 <= rec.stats.clip_frac <= 1.0
             assert rec.wall_s > 0.0
         assert sum(r.stats.self_collisions for r in res.trace[1:]) == res.self_collisions
-        path = tmp_path / "trace.jsonl"
-        res.write_trace_jsonl(path)
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        assert "waves" not in records[0]
-        assert {"waves", "self_collisions", "clip_frac", "step_loss_mean",
-                "step_loss_se"} <= set(records[1])
-        assert "wall_s" not in records[1]
 
     def test_waves_respect_both_orderings(self):
         # sample 1 reads row 0 that sample 0 writes: a later wave (read after

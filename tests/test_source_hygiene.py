@@ -154,6 +154,21 @@ def stage_error_names(source: str, classes: set[str]) -> list[str]:
             if isinstance(node, ast.Name) and node.id in classes]
 
 
+def imports_module(source: str, module: str) -> bool:
+    """Whether the source imports ``module`` or one of its submodules, by
+    ``import`` or by ``from … import``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(n == module or n.startswith(module + ".") for n in names):
+            return True
+    return False
+
+
 def test_finds_an_unused_import():
     source = "import os\nimport numpy as np\nfrom .spectra import a, b\nnp.zeros(a)\n"
     assert unused_imports(source) == ["b", "os"]
@@ -212,6 +227,21 @@ def test_no_stage_names_a_package_error():
     assert classes
     cli = SOURCE_DIR.joinpath("cli.py").read_text(encoding="utf-8")
     assert "_stage(" in cli and stage_error_names(cli, classes) == []
+
+
+def test_finds_a_json_import():
+    assert imports_module("import os, json as j\n", "json")
+    assert imports_module("def f():\n    from json import dumps\n", "json")
+    assert imports_module("import json.decoder\n", "json")
+    assert not imports_module("import jsonschema\nfrom . import json\nx = 'import json'\n",
+                              "json")
+
+
+def test_only_the_cli_imports_json():
+    """``cli`` alone turns results into JSON, so one rule decides how every
+    output file writes a non-finite float."""
+    assert [p.name for p in SOURCES
+            if imports_module(p.read_text(encoding="utf-8"), "json")] == ["cli.py"]
 
 
 @pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")
