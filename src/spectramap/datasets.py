@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -108,7 +109,7 @@ def gen_two_moons(n: int, noise: float, seed: int) -> LabeledDataset:
 
 def _row_floats(cells: list[str], path: Path, line_no: int) -> list[float]:
     """The cells stripped and parsed one at a time, raising at the first that
-    is not a number."""
+    is not a number or parses to nan or an infinity (``1e400`` too)."""
     values = []
     for c, cell in enumerate(cells):
         cell = cell.strip()
@@ -118,6 +119,10 @@ def _row_floats(cells: list[str], path: Path, line_no: int) -> list[float]:
             raise ParseError(
                 f"{path}: row {line_no}, column {c + 1}: not a number: {cell!r}"
             ) from None
+        if not math.isfinite(values[-1]):
+            raise ParseError(
+                f"{path}: row {line_no}, column {c + 1}: not a finite number: {cell!r}"
+            )
     return values
 
 
@@ -138,7 +143,9 @@ def load_csv(path, has_labels: bool = False) -> LabeledDataset:
     Read as UTF-8, without a byte-order mark; a file that is not UTF-8 is a
     ``ParseError``. Row 1 is a header when float() rejects one of its cells
     unstripped (a cell padded with U+001C..U+001F parses only stripped); data
-    cells are parsed stripped. Labels must be integers in the int64 range.
+    cells are parsed stripped and must be finite (``nan``, ``inf`` and an
+    overflowing ``1e400`` are a ``ParseError`` naming their row and column).
+    Labels must be integers in the int64 range.
     Rows and columns in error messages are 1-based file positions.
     """
     path = Path(path)

@@ -13,8 +13,12 @@ makes them itself, the adapter ``from_dense`` from a square array. Edge sums
 read the arrays. The scipy CSR ``matrix`` is built from them on first use,
 and the degrees are its row sums, computed per call; only the CSR and the
 components are cached. The connected components come from a numpy
-hook-and-compress pass over the same arrays, so no ``scipy.sparse``
-submodule is loaded for them.
+hook-and-compress pass over the same arrays.
+
+``scipy.sparse`` takes about 0.2 s to import, which a process that builds
+no graph should not pay, so ``directed_weights`` and ``matrix`` import it
+when they first build a CSR matrix: ``embed`` and ``verify`` load it there,
+``import spectramap`` loads numpy only.
 """
 
 from __future__ import annotations
@@ -22,13 +26,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .datasets import DataMatrix
 from .errors import ConfigurationError, GraphStructureError
 from .knn import KnnGraph, knn_search
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 BRACKET_LO = 1e-8
 BRACKET_HI = 1e4
@@ -133,6 +140,8 @@ def directed_weights(knn: KnnGraph, params: SmoothKnnParams) -> sp.csr_matrix:
     Weights are in (0, 1]; entries that underflow to exactly zero (possible
     only for clamped degenerate rows) are dropped from the sparse structure.
     """
+    import scipy.sparse as sp
+
     n, k = knn.distances.shape
     gaps = np.maximum(knn.distances - params.rho[:, None], 0.0)
     vals = np.exp(-gaps / params.sigma[:, None])
@@ -263,6 +272,8 @@ class SimilarityGraph:
     @cached_property
     def matrix(self) -> sp.csr_matrix:
         """The adjacency matrix as scipy CSR, for Laplacian and graph work."""
+        import scipy.sparse as sp
+
         indptr = np.searchsorted(self.rows, np.arange(self.n + 1))
         return sp.csr_matrix((self.weights, self.cols, indptr), shape=(self.n, self.n), copy=True)
 

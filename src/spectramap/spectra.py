@@ -31,18 +31,25 @@ stops once the d wanted pairs have residual ||Lnorm u - lambda u|| at most
 ``EIG_RESIDUAL_TOL``/100, and gives up after ``MAX_ROUNDS`` rounds. The
 module holds no dense algorithm: the dense oracles that certify it belong
 to the claims in ``equivalence``.
+
+``normalized_laplacian`` and ``_filtered_subspace`` import ``scipy.sparse``
+in their bodies, for the reason given in ``fuzzy``, whose
+``directed_weights`` is where ``embed`` first loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigurationError, EigensolverError, GraphStructureError
 from .fuzzy import SimilarityGraph
 from .knn import sq_norms
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # largest accepted ||Lnorm u - lambda u|| of a returned eigenpair
 EIG_RESIDUAL_TOL = 1e-8
@@ -58,6 +65,8 @@ MAX_ROUNDS = 200
 
 def normalized_laplacian(V: SimilarityGraph) -> sp.csr_matrix:
     """Lnorm = D^{-1/2} (D - W) D^{-1/2} from ``V.matrix``; rejects isolated vertices."""
+    import scipy.sparse as sp
+
     deg = V.degrees()
     bad = np.flatnonzero(deg <= 0)
     if bad.size:
@@ -133,6 +142,8 @@ def _filtered_subspace(
     per-component vectors D^{1/2} 1_c, by Chebyshev-filtered subspace
     iteration (see the module docstring), then the round count, the count
     of block products with Lnorm and the final block width."""
+    import scipy.sparse as sp
+
     n = Ln.shape[0]
     vol = np.bincount(labels, weights=sqrt_deg**2)
     # entries of the orthonormal null basis, one column per component

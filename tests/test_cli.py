@@ -439,6 +439,25 @@ class TestVerify:
         assert claim["context"]["monte_carlo"] == "inf"
         strict_json((out / "timing.json").read_text())
 
+    def test_biased_step_losses_fail_eq13(self, tmp_path, capsys, monkeypatch):
+        """eq13_montecarlo catches step losses biased by 1% at ``--seed 42``
+        and the default 200,000 draws: residual 10.1 against the tolerance 3.
+        The draws' relative standard error is 9.0e-4, and the unbiased mean
+        sits 0.89 of one below the closed form, so the smallest bias caught
+        here is about 4 standard errors: +0.35% passes (residual 2.98), +0.4%
+        fails (3.53)."""
+        step_losses = equivalence.step_losses
+        monkeypatch.setattr(equivalence, "step_losses",
+                            lambda *args: step_losses(*args) * 1.01)
+        out = tmp_path / "verify"
+        code = run_cli("verify", "--claims", "eq13_montecarlo", "--seed", 42,
+                       "--out-dir", out)
+        assert code == 1
+        assert "FAILED claims: eq13_montecarlo" in capsys.readouterr().err
+        [claim] = json.loads((out / "report.json").read_text())["reports"]
+        assert claim["context"]["n_draws"] == 200_000
+        assert claim["residual"] > claim["tolerance"] == 3.0
+
     def test_sabotage_exits_nonzero(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(losses, "laplacian_quadratic", negated_laplacian_quadratic)
         out = tmp_path / "verify"
@@ -638,6 +657,23 @@ def test_cli_import_loads_no_scipy_solvers(tmp_path):
         assert out.returncode == 0 and out.stdout.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("run", [
+    "import spectramap",
+    "import spectramap.cli",
+    "import spectramap.cli; assert spectramap.cli.main(['fit-ab']) == 0",
+    "import spectramap.cli; assert spectramap.cli.main(['gen-data', '--gen', 'moons', "
+    "'--n', '40', '--out', 'moons.csv']) == 0",
+], ids=["package", "cli", "fit-ab", "gen-data"])
+def test_graphless_runs_load_no_scipy(tmp_path, monkeypatch, run):
+    """``scipy.sparse`` costs about 0.2 s per process to import, so the
+    package imports it only where it first builds a sparse matrix: a process
+    that builds no graph loads no scipy module."""
+    monkeypatch.chdir(tmp_path)
+    out = run_child(f"import sys; {run}; "
+                    "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert out.returncode == 0 and out.stdout.splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("command", ["gen-data", "embed"])
 def test_oversized_csv_field_is_a_parse_error(tmp_path, command):
     """A field longer than ``csv.field_size_limit()`` ends as ``error
@@ -650,6 +686,20 @@ def test_oversized_csv_field_is_a_parse_error(tmp_path, command):
     assert child.returncode == 2
     assert child.stderr.splitlines()[-1].startswith(f"error [datasets]: {path}: line 3: ")
     assert "Traceback" not in child.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["gen-data", "--out"], ["embed", "--out-dir"]],
+                         ids=["gen-data", "embed"])
+def test_non_finite_csv_cell_is_a_parse_error(tmp_path, capsys, command):
+    """A cell that parses to nan or an infinity is placed by file, row and
+    column, as every other bad cell is."""
+    path = tmp_path / "nan.csv"
+    path.write_text("x0,x1\n1.0,2.0\n3.0,nan\n5.0,6.0\n")
+    out = tmp_path / "out"
+    assert run_cli(command[0], "--input", path, command[1], out) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error [datasets]: {path}: row 3, column 2: not a finite number: 'nan'"]
     assert not out.exists()
 
 

@@ -121,6 +121,7 @@ class TestCsvRoundTrip:
             sm.load_csv(f, has_labels=True)
 
     NOT_A_NUMBER = "row 3, column 2: not a number"
+    NOT_FINITE = "row 3, column 2: not a finite number"
     NOT_AN_INTEGER = "row 3, column 3: label must be an integer"
 
     @pytest.mark.parametrize("token,column,outcome", [
@@ -129,14 +130,16 @@ class TestCsvRoundTrip:
         ("1_0", "x1", 10.0),
         ("1_0", "label", 10),
         ("\x1c7\x1c", "x1", 7.0),  # float() rejects it unstripped
-        ("nan", "x1", (ConfigurationError, "finite")),
-        ("inf", "x1", (ConfigurationError, "finite")),
-        ("nan", "label", (ParseError, NOT_AN_INTEGER)),
-        ("inf", "label", (ParseError, NOT_AN_INTEGER)),
+        ("nan", "x1", (ParseError, NOT_FINITE + ": 'nan'$")),
+        ("inf", "x1", (ParseError, NOT_FINITE + ": 'inf'$")),
+        ("nan", "label", (ParseError, NOT_FINITE.replace("2", "3") + ": 'nan'$")),
+        ("inf", "label", (ParseError, NOT_FINITE.replace("2", "3") + ": 'inf'$")),
         ("2.5", "label", (ParseError, NOT_AN_INTEGER)),
         ("0x1", "x1", (ParseError, NOT_A_NUMBER + ": '0x1'")),
         ("", "x1", (ParseError, NOT_A_NUMBER + ": ''")),
         ("0x1", "label", (ParseError, NOT_A_NUMBER.replace("2", "3") + ": '0x1'")),
+        (" -inf", "x1", (ParseError, NOT_FINITE + ": '-inf'$")),
+        ("1e400", "x1", (ParseError, NOT_FINITE + ": '1e400'$")),  # overflows to inf
     ])
     def test_tricky_tokens(self, tmp_path, token, column, outcome):
         # the token sits in the second data row (file row 3), under a header

@@ -23,18 +23,31 @@ REFERENCE = re.compile(r"``([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)``")
 
 
 def unused_imports(source: str) -> list[str]:
-    """Names bound by an import (``__future__`` aside) that the module never
-    reads; an attribute's root, such as ``sp`` in ``sp.csr_matrix``, counts
-    as a read."""
+    """Names bound by an import (``__future__`` aside) that their scope never
+    reads: a function's import its own body, nested functions included
+    (reported as ``function:name``), any other the whole module. An
+    attribute's root, such as ``sp`` in ``sp.csr_matrix``, counts as a read."""
+    found = set()
+
+    def visit(scope, used, prefix):
+        for node in ast.iter_child_nodes(scope):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                body = {n.id for stmt in node.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name)}
+                visit(node, body, f"{node.name}:")
+                continue
+            if isinstance(node, ast.Import):
+                bound = [(a.asname or a.name).split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                bound = []
+            found.update(prefix + name for name in bound if name not in used)
+            visit(node, used, prefix)
+
     tree = ast.parse(source)
-    bound = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            bound += [(a.asname or a.name).split(".")[0] for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            bound += [a.asname or a.name for a in node.names]
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted(set(bound) - used)
+    visit(tree, {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}, "")
+    return sorted(found)
 
 
 def unread_locals(source: str) -> list[str]:
@@ -172,6 +185,19 @@ def imports_module(source: str, module: str) -> bool:
 def test_finds_an_unused_import():
     source = "import os\nimport numpy as np\nfrom .spectra import a, b\nnp.zeros(a)\n"
     assert unused_imports(source) == ["b", "os"]
+
+
+def test_finds_an_unused_function_import():
+    """A function's import counts as read only in that function's body, so a
+    module-level name or another function's local of the same name hides
+    nothing."""
+    source = ("from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n"
+              "    import scipy.sparse as sp\n"
+              "def f(x) -> sp.csr_matrix:\n    import scipy.sparse as sp\n    return x\n"
+              "def g(n):\n    from math import sqrt, pi\n    def h():\n"
+              "        return sqrt(n)\n    return h\n"
+              "def k(sp):\n    import os\n    return sp.eye(2)\n")
+    assert unused_imports(source) == ["f:sp", "g:pi", "k:os"]
 
 
 def test_finds_an_unread_local():
