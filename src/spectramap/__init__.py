@@ -41,10 +41,8 @@ from .kernels import (
     KernelParams,
     MinDistFit,
     fit_ab,
-    log_one_minus_phi,
     log_phi,
     one_minus_phi,
-    phi,
 )
 from .knn import KnnGraph, knn_search
 from .losses import (

@@ -116,7 +116,8 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
 
     v = sub.add_parser("verify", help="run the spectral-equivalence claim suite")
     _add_common(v)
-    v.add_argument("--claims", help="comma-separated claim ids to run")
+    v.add_argument("--claims", help="comma-separated claim ids to run, of "
+                                     + ", ".join(equivalence.CLAIM_IDS) + " (in run order)")
     v.add_argument("--draws", type=int, default=200_000)
     v.add_argument("--out-dir", required=True)
 

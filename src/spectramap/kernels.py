@@ -13,8 +13,9 @@ surrogate is itself the exact gradient of
 
     b*log(s + eps) - log(1 + a*s^b) + log(a)
 
-which ``log_one_minus_phi`` evaluates, so finite differences can validate
-the analytic form at any eps.
+so finite differences of that objective can validate the analytic form at
+any eps, as tests/test_kernels.py's
+test_regularized_gradient_matches_surrogate_objective does.
 """
 
 from __future__ import annotations
@@ -61,16 +62,6 @@ class KernelParams:
         return cls(family="gaussian", tau=tau)
 
 
-def phi(sq_dist, p: KernelParams):
-    """Kernel similarity in (0, 1] as a function of squared distance."""
-    s = np.asarray(sq_dist, dtype=np.float64)
-    if p.family == "gaussian":
-        out = np.exp(-s / (2.0 * p.tau))
-    else:
-        out = 1.0 / (1.0 + p.a * s**p.b)
-    return out if out.ndim else float(out)
-
-
 def one_minus_phi(sq_dist, p: KernelParams, out: np.ndarray | None = None):
     """1 - phi computed without cancellation for small distances.
 
@@ -98,22 +89,6 @@ def log_phi(sq_dist, p: KernelParams):
         out = -s / (2.0 * p.tau)
     else:
         out = -np.log1p(p.a * s**p.b)
-    return out if out.ndim else float(out)
-
-
-def log_one_minus_phi(sq_dist, p: KernelParams, eps: float = 0.0):
-    """log(1 - phi(s)), with the cauchy singular term shifted by eps.
-
-    At eps = 0 this is exactly log(1 - phi). For the cauchy family and
-    eps > 0 it is the surrogate objective whose gradient the optimizer
-    follows; the gaussian family has no closed-form surrogate and ignores
-    eps here.
-    """
-    s = np.asarray(sq_dist, dtype=np.float64)
-    if p.family == "gaussian":
-        out = np.log(-np.expm1(-s / (2.0 * p.tau)))
-    else:
-        out = np.log(p.a) + p.b * np.log(s + eps) - np.log1p(p.a * s**p.b)
     return out if out.ndim else float(out)
 
 

@@ -112,8 +112,11 @@ def first_order(
     so the attraction lies below the form a * sum w s^b by at most the bound
     (a^2 / 2) * sum w s^{2b}. The form is the graph p-Laplacian energy with
     p = 2b (Bühler & Hein, ICML 2009); at b = 1 it is 2a * tr(Y^T L Y). The
-    attraction comes from ``attractive_term``'s closed-form logs, a route
-    independent of the form's.
+    attraction comes from ``attractive_term``'s closed-form logs. For the
+    cauchy kernel that route is independent of the form's; for the gaussian
+    kernel both sum w s over the same ``edge_sq_lengths`` and differ only by
+    scalar factors, so the thm3.1a claim checks them against a matrix route
+    of its own.
     """
     attract = attractive_term(V, Y, p)
     if p.family == "gaussian":

@@ -73,6 +73,34 @@ def read_edge_list(path):
     return n, table["i"], table["j"], table["w"]
 
 
+def phi(sq_dist, p):
+    """Kernel similarity in (0, 1] as a function of squared distance, from
+    its definition: the reference the kernel tests check ``one_minus_phi``
+    and the attraction gradient against."""
+    s = np.asarray(sq_dist, dtype=np.float64)
+    if p.family == "gaussian":
+        out = np.exp(-s / (2.0 * p.tau))
+    else:
+        out = 1.0 / (1.0 + p.a * s**p.b)
+    return out if out.ndim else float(out)
+
+
+def log_one_minus_phi(sq_dist, p, eps=0.0):
+    """log(1 - phi(s)), with the cauchy singular term shifted by eps.
+
+    At eps = 0 this is exactly log(1 - phi). For the cauchy family and
+    eps > 0 it is the surrogate objective whose gradient the optimizer
+    follows; the gaussian family has no closed-form surrogate and ignores
+    eps here.
+    """
+    s = np.asarray(sq_dist, dtype=np.float64)
+    if p.family == "gaussian":
+        out = np.log(-np.expm1(-s / (2.0 * p.tau)))
+    else:
+        out = np.log(p.a) + p.b * np.log(s + eps) - np.log1p(p.a * s**p.b)
+    return out if out.ndim else float(out)
+
+
 def negated_laplacian_quadratic(V, Z):
     """A broken quadratic form, its sign flipped: the claim suite must fail on it."""
     return -sm.laplacian_quadratic(V, Z)

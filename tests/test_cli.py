@@ -475,6 +475,15 @@ class TestVerify:
         assert "error [verify]: unknown claim ids: ['']" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_claim_lists_the_valid_ids_in_run_order(self, tmp_path, capsys):
+        assert run_cli("verify", "--claims", "lemmaA1,lemmaB2", "--out-dir", tmp_path) == 2
+        assert capsys.readouterr().err == (
+            "error [verify]: unknown claim ids: ['lemmaB2']; valid ids: "
+            + ", ".join(equivalence.CLAIM_IDS) + "\n")
+        with pytest.raises(SystemExit):
+            run_cli("verify", "--help")
+        assert ", ".join(equivalence.CLAIM_IDS) in " ".join(capsys.readouterr().out.split())
+
     def test_single_draw_is_a_named_error(self, tmp_path, capsys):
         out = tmp_path / "verify"
         code = run_cli(

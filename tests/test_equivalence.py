@@ -1,5 +1,7 @@
 import json
+import runpy
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from spectramap import equivalence as eq, losses, spectra
 from spectramap.cli import main
 from spectramap.errors import ConfigurationError, GraphStructureError
 
-from conftest import negated_laplacian_quadratic, stochastic_step_loss
+from conftest import negated_laplacian_quadratic, phi, stochastic_step_loss
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestGaussianExactness:
@@ -38,6 +42,8 @@ class TestGaussianExactness:
         small, large = rep.context["max_abs_y"]
         assert small <= 0.5 and large == pytest.approx(10.0)
         assert rep.residual == max(rep.context["residuals"])
+        # the summation bound, not a fixed figure: about 4.6e-14 at n = 30
+        assert rep.tolerance == min(rep.context["bounds"]) < 1e-13
 
     def test_too_few_points_rejected(self):
         # pipeline_graph builds n // 2 points per blob, and calibration needs
@@ -48,13 +54,26 @@ class TestGaussianExactness:
             eq.check_gaussian_exactness(3, 2, 1.0, 0)
         assert eq.pipeline_graph(5, 0).n == 4
 
+    def test_wrong_edge_lengths_fail_it(self, monkeypatch):
+        # both sides under test read edge_sq_lengths; the matrix route does not
+        edge_sq_lengths = spectra.edge_sq_lengths
+
+        def skewed(V, Y):
+            w, s = edge_sq_lengths(V, Y)
+            return 1.3 * w, 0.7 * s + 0.01
+
+        monkeypatch.setattr(spectra, "edge_sq_lengths", skewed)
+        monkeypatch.setattr(losses, "edge_sq_lengths", skewed)
+        result = eq.run_suite(42, claims=["thm3.1a"])
+        assert [r.passed for r in result.reports] == [False] * 4
+
     def test_catches_a_clamp_that_bites_only_at_init_scale(self, monkeypatch):
         # log(max(phi, 1e-12)) caps each long Gaussian edge term; edges in
         # [-0.5, 0.5]^2 are too short to reach the cap
         def clamped(V, Y, p):
             coo = V.matrix.tocoo()
             s = np.sum((Y[coo.row] - Y[coo.col]) ** 2, axis=1)
-            return -float(coo.data @ np.log(np.maximum(sm.phi(s, p), 1e-12)))
+            return -float(coo.data @ np.log(np.maximum(phi(s, p), 1e-12)))
 
         monkeypatch.setattr(losses, "attractive_term", clamped)
         rep = eq.check_gaussian_exactness(30, 2, 0.5, 0)
@@ -295,10 +314,10 @@ class TestSuite:
         assert main(["verify", "--claims", "lemmaA1,thm3.1a", "--out-dir", str(tmp_path)]) == 0
         body = json.loads((tmp_path / "report.json").read_text())
         assert body["all_passed"] is True
-        assert len(body["reports"]) == 4  # 3 gaussian rows + 1 identity row
+        assert len(body["reports"]) == 5  # 4 gaussian rows + 1 identity row
         assert all(list(r) == ["claim", "residual", "tolerance", "passed", "context"]
                    for r in body["reports"])
-        assert [r.pop("passed") for r in body["reports"]] == [True] * 4
+        assert [r.pop("passed") for r in body["reports"]] == [True] * 5
         assert [eq.EquivalenceReport(**r) for r in body["reports"]] == result.reports
 
     def test_table_has_three_kernel_rows(self):
@@ -319,12 +338,22 @@ class TestSuite:
         full = eq.run_suite(master_seed=42, n_draws=2000)
         assert full.all_passed
         assert [r.claim for r in full.reports] == (
-            ["thm3.1a"] * 3 + ["thm3.1b"] * 6 + ["eq20_bound"] * 4
+            ["thm3.1a"] * 4 + ["thm3.1b"] * 6 + ["eq20_bound"] * 4
             + ["thm3.1c", "eq13_montecarlo", "lemmaA1", "a3_relaxation"]
         )
         for claim in eq.CLAIM_IDS:
             alone = eq.run_suite(master_seed=42, claims=[claim], n_draws=2000)
             assert alone.reports == [r for r in full.reports if r.claim == claim]
+
+    def test_registry_pins_stream_keys_and_benchmark_ids(self):
+        # reordering the registry must not reseed a claim, and a new claim
+        # stays red here until the benchmark's own id list names it
+        assert {claim: key for claim, key, _ in eq.CLAIM_REGISTRY} == {
+            "thm3.1a": 0, "thm3.1b": 1, "thm3.1c": 2, "eq13_montecarlo": 3,
+            "lemmaA1": 4, "eq20_bound": 5, "a3_relaxation": 6,
+        }
+        workloads = runpy.run_path(str(ROOT / "benchmark" / "workloads.py"))
+        assert workloads["CLAIM_IDS"] == eq.CLAIM_IDS
 
     def test_reports_deterministic(self):
         a = eq.run_suite(master_seed=7, claims=["thm3.1a", "lemmaA1"])

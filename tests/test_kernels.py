@@ -6,10 +6,11 @@ from spectramap.errors import ConfigurationError
 from spectramap.kernels import (
     grad_log_one_minus_phi_rows,
     grad_log_phi_rows,
-    log_one_minus_phi,
     log_phi,
     target_curve,
 )
+
+from conftest import log_one_minus_phi, phi
 
 
 def central_diff(f, y, h=1e-6):
@@ -23,20 +24,20 @@ def central_diff(f, y, h=1e-6):
 
 class TestPhi:
     def test_zero_distance_gives_one(self):
-        assert sm.phi(0.0, sm.KernelParams.cauchy(2.0, 0.5)) == 1.0
-        assert sm.phi(0.0, sm.KernelParams.gaussian(0.7)) == 1.0
+        assert phi(0.0, sm.KernelParams.cauchy(2.0, 0.5)) == 1.0
+        assert phi(0.0, sm.KernelParams.gaussian(0.7)) == 1.0
 
     def test_unit_cauchy(self):
-        assert sm.phi(1.0, sm.KernelParams.cauchy(1.0, 1.0)) == 0.5
+        assert phi(1.0, sm.KernelParams.cauchy(1.0, 1.0)) == 0.5
 
     def test_default_shape_parameters(self):
         p = sm.KernelParams.cauchy(1.929, 0.7915)
-        np.testing.assert_allclose(sm.phi(1.0, p), 1.0 / 2.929, atol=5e-6)
+        np.testing.assert_allclose(phi(1.0, p), 1.0 / 2.929, atol=5e-6)
 
     def test_strictly_decreasing_and_in_range(self):
         s = np.linspace(0.0, 50.0, 500)
         for p in (sm.KernelParams.cauchy(1.5, 0.8), sm.KernelParams.gaussian(1.0)):
-            vals = sm.phi(s, p)
+            vals = phi(s, p)
             assert np.all(vals > 0.0) and np.all(vals <= 1.0)
             assert np.all(np.diff(vals) < 0.0)
 
@@ -44,7 +45,7 @@ class TestPhi:
         s = np.geomspace(1e-12, 100.0, 200)
         for p in (sm.KernelParams.cauchy(1.2, 0.9), sm.KernelParams.gaussian(2.0)):
             np.testing.assert_allclose(
-                sm.one_minus_phi(s, p), 1.0 - sm.phi(s, p), atol=1e-15
+                sm.one_minus_phi(s, p), 1.0 - phi(s, p), atol=1e-15
             )
 
     def test_small_distance_log_expansion(self):
@@ -80,7 +81,7 @@ class TestFitAb:
     def test_zero_distance_matches_target_exactly(self):
         fit = sm.fit_ab(0.0)
         p = sm.KernelParams.cauchy(fit.fitted_a, fit.fitted_b)
-        assert sm.phi(0.0, p) == 1.0 == target_curve(np.array([0.0]), 0.0)[0]
+        assert phi(0.0, p) == 1.0 == target_curve(np.array([0.0]), 0.0)[0]
 
     def test_beats_unit_baseline(self):
         fit = sm.fit_ab(0.5)
@@ -128,7 +129,7 @@ class TestAttractiveGradient:
 
             def f(y):
                 d = y - y_b
-                return float(np.log(sm.phi(float(d @ d), p)))
+                return float(np.log(phi(float(d @ d), p)))
 
             g = grad_log_phi_rows((y_a - y_b)[None, :], p)[0]
             fd = central_diff(f, y_a)

@@ -304,8 +304,6 @@ def test_docstring_references_resolve(path):
     assert unresolved_references(path.read_text(encoding="utf-8"), KNOWN_NAMES) == []
 
 
-# the tests' reference implementations, which no package code needs
-TEST_REFERENCES = {"phi", "log_one_minus_phi"}
 # an ``__init__`` re-export is not a read
 READ_NAMES = set().union(*(read_names(p.read_text(encoding="utf-8")) for p in MODULES + HARNESS))
 
@@ -313,4 +311,4 @@ READ_NAMES = set().union(*(read_names(p.read_text(encoding="utf-8")) for p in MO
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_public_name_is_read(path):
     public = public_definitions(path.read_text(encoding="utf-8"))
-    assert [n for n in public if n not in READ_NAMES | TEST_REFERENCES] == []
+    assert [n for n in public if n not in READ_NAMES] == []
