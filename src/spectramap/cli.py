@@ -316,7 +316,8 @@ def cmd_verify(args) -> int:
     table = equivalence.format_table(result)
     (out_dir / "report.txt").write_text(table + "\n")
     # as for embed, wall times stay out of the reproducible reports
-    _write_json(out_dir / "timing.json", {"claim_wall_s": result.claim_wall_s})
+    _write_json(out_dir / "timing.json", {"import_s": result.import_s,
+                                          "claim_wall_s": result.claim_wall_s})
     print(table)
     if not result.all_passed:
         failed = [r.claim for r in result.reports if not r.passed]

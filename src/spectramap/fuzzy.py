@@ -17,8 +17,9 @@ hook-and-compress pass over the same arrays.
 
 ``scipy.sparse`` takes about 0.2 s to import, which a process that builds
 no graph should not pay, so ``directed_weights`` and ``matrix`` import it
-when they first build a CSR matrix: ``embed`` and ``verify`` load it there,
-``import spectramap`` loads numpy only.
+when they first build a CSR matrix. ``embed`` loads it there, and
+``run_suite`` before its first claim. ``import spectramap.cli`` loads numpy
+and no scipy; ``import spectramap`` loads neither, until a name is read.
 """
 
 from __future__ import annotations

@@ -33,8 +33,8 @@ module holds no dense algorithm: the dense oracles that certify it belong
 to the claims in ``equivalence``.
 
 ``normalized_laplacian`` and ``_filtered_subspace`` import ``scipy.sparse``
-in their bodies, for the reason given in ``fuzzy``, whose
-``directed_weights`` is where ``embed`` first loads it.
+in their bodies, for the reason given in ``fuzzy``: importing this module
+loads numpy, ``fuzzy`` and ``knn``, and no scipy module.
 """
 
 from __future__ import annotations

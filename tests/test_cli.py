@@ -422,6 +422,34 @@ class TestVerify:
         assert all(t > 0.0 for t in wall.values())
         assert "wall" not in (out / "report.json").read_text()
 
+    def test_scipy_imports_precede_each_claims_clock(self, tmp_path):
+        """``run_suite`` imports a claim's scipy modules before its clock
+        starts and ``timing.json`` books that time as ``import_s``: holding
+        the first import, thm3.1a read 0.14-0.27 s and a3_relaxation
+        0.06-0.18 s, against 7-9 and 23-49 ms without it.
+        ``scipy.linalg`` waits for a3_relaxation, so its ~8 MB stay out of
+        eq13_montecarlo's peak."""
+        out = tmp_path / "verify"
+        child = run_child(
+            "import sys\nfrom spectramap import cli, equivalence\n"
+            "def probe(claim, run):\n"
+            "    def first(rng, n_draws):\n"
+            "        print(claim, [m for m in ('scipy.sparse', 'scipy.linalg') "
+            "if m in sys.modules])\n"
+            "        return run(rng, n_draws)\n"
+            "    return first\n"
+            "equivalence.CLAIM_REGISTRY = tuple((claim, key, probe(claim, run)) "
+            "for claim, key, run in equivalence.CLAIM_REGISTRY)\n"
+            f"sys.exit(cli.main(['verify', '--draws', '2000', '--out-dir', {str(out)!r}]))")
+        assert child.returncode == 0
+        claims = list(equivalence.CLAIM_IDS)
+        loaded = {claim: ["scipy.sparse"] for claim in claims}
+        loaded["a3_relaxation"].append("scipy.linalg")
+        assert child.stdout.splitlines()[:len(claims)] == [f"{c} {loaded[c]}" for c in claims]
+        timing = strict_json((out / "timing.json").read_text())
+        assert list(timing) == ["import_s", "claim_wall_s"]
+        assert timing["import_s"] > 0.0 and list(timing["claim_wall_s"]) == claims
+
     def test_non_finite_residual_is_strict_json(self, tmp_path, capsys, monkeypatch):
         """A claim whose measurement is not finite fails as a claim, and its
         report still parses as strict JSON."""
@@ -681,6 +709,47 @@ def test_graphless_runs_load_no_scipy(tmp_path, monkeypatch, run):
     out = run_child(f"import sys; {run}; "
                     "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     assert out.returncode == 0 and out.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("run, loaded", [
+    ("import spectramap", []),
+    # the benchmark's setup line for an embed workload
+    ("import spectramap; spectramap.load_csv('moons.csv', has_labels=True); "
+     "spectramap.fit_ab(0.1)",
+     ["numpy", "spectramap.datasets", "spectramap.errors", "spectramap.kernels"]),
+], ids=["package", "setup-line"])
+def test_entry_point_import_footprint(tmp_path, monkeypatch, run, loaded):
+    """The package imports a module when one of its names is first read:
+    ``import spectramap`` loads no numpy and no submodule, and reading
+    ``load_csv`` and ``fit_ab`` loads their modules and ``errors``, with no
+    graph, solver, SGD, claim or plot module and no scipy."""
+    monkeypatch.chdir(tmp_path)
+    sm.save_csv(sm.gen_two_moons(40, 0.05, 0), "moons.csv")
+    out = run_child(f"import sys; {run}; print(sorted("
+                    "{m if m.startswith('spectramap.') else m.split('.')[0] for m in sys.modules "
+                    "if m.startswith('spectramap.') or m.split('.')[0] in ('numpy', 'scipy')}))")
+    assert out.returncode == 0 and out.stdout.splitlines()[-1] == repr(loaded)
+
+
+def test_export_table():
+    """Each name in ``__all__`` is the object of the module the export table
+    names, so a misspelt entry fails here rather than at a caller's first
+    read; star import binds every name, and a bare ``import spectramap``
+    reaches every submodule as an attribute."""
+    for module, names in sm._EXPORTS.items():
+        for name in names:
+            assert getattr(sm, name) is getattr(getattr(sm, module), name)
+    assert set(sm.__all__) | set(sm._EXPORTS) <= set(dir(sm))
+    star = {}
+    exec("from spectramap import *", star)
+    assert set(sm.__all__) <= set(star)
+    with pytest.raises(AttributeError, match="has no attribute 'fit_abc'"):
+        sm.fit_abc
+    submodules = sorted(sm._EXPORTS)
+    out = run_child("import spectramap; "
+                    f"print([getattr(spectramap, m).__name__ for m in {submodules!r}])")
+    assert out.returncode == 0
+    assert out.stdout.splitlines()[-1] == repr([f"spectramap.{m}" for m in submodules])
 
 
 @pytest.mark.parametrize("command", ["gen-data", "embed"])

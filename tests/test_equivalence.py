@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import runpy
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spectramap as sm
-from spectramap import equivalence as eq, losses, spectra
+from spectramap import equivalence as eq, losses, optim, spectra
 from spectramap.cli import main
 from spectramap.errors import ConfigurationError, GraphStructureError
 
@@ -359,3 +360,73 @@ class TestSuite:
         a = eq.run_suite(master_seed=7, claims=["thm3.1a", "lemmaA1"])
         b = eq.run_suite(master_seed=7, claims=["thm3.1a", "lemmaA1"])
         assert [r.residual for r in a.reports] == [r.residual for r in b.reports]
+
+
+def _scaled_edge_weights(monkeypatch):
+    """Edge weights x1.3 inside ``edge_sq_lengths``, at every module that binds it."""
+    edge_sq_lengths = spectra.edge_sq_lengths
+
+    def scaled(V, Y):
+        w, s = edge_sq_lengths(V, Y)
+        return 1.3 * w, s
+
+    for module in (spectra, losses, eq):
+        monkeypatch.setattr(module, "edge_sq_lengths", scaled)
+
+
+def _uniform_edges(monkeypatch):
+    """The alias table bypassed: every edge is drawn with the same chance."""
+    monkeypatch.setattr(optim, "_build_alias_table",
+                        lambda w: (np.ones(w.size), np.arange(w.size)))
+
+
+def _no_orientation_coin(monkeypatch):
+    """Every drawn edge keeps its stored orientation, i < j."""
+    draw_events = optim.EdgeSampler.draw_events
+
+    def unflipped(self, *args):
+        anchors, partners, negs = draw_events(self, *args)
+        return np.minimum(anchors, partners), np.maximum(anchors, partners), negs
+
+    monkeypatch.setattr(optim.EdgeSampler, "draw_events", unflipped)
+
+
+def _random_walk_vectors(monkeypatch):
+    """Spectral vectors of the random-walk Laplacian D^-1 L: D^-1/2 u, with unit columns."""
+    spectral_init = eq.spectral_init
+
+    def random_walk(V, d):
+        sol = spectral_init(V, d)
+        v = sol.vectors / np.sqrt(V.degrees())[:, None]
+        return dataclasses.replace(sol, vectors=v / np.linalg.norm(v, axis=0))
+
+    monkeypatch.setattr(eq, "spectral_init", random_walk)
+
+
+def _gaussian_tau_off(monkeypatch):
+    """The Gaussian ``log_phi`` evaluated at 1.01 tau."""
+    log_phi = losses.log_phi
+
+    def off(s, p):
+        return log_phi(s, dataclasses.replace(p, tau=1.01 * p.tau) if p.family == "gaussian"
+                       else p)
+
+    monkeypatch.setattr(losses, "log_phi", off)
+
+
+@pytest.mark.parametrize("fault, claims", [
+    (_scaled_edge_weights, ["thm3.1a", "eq13_montecarlo", "lemmaA1"]),
+    (_uniform_edges, ["eq13_montecarlo"]),
+    (_no_orientation_coin, ["eq13_montecarlo"]),
+    (_random_walk_vectors, ["thm3.1c"]),
+    (_gaussian_tau_off, ["thm3.1a"]),
+], ids=["edge-weights", "uniform-edges", "no-coin", "random-walk", "gaussian-tau"])
+def test_fault_matrix(monkeypatch, fault, claims):
+    """Each pipeline fault fails exactly the claims listed for it at seed 42.
+    These are the claims that fail when the whole suite runs under the
+    fault; only they run here, to bound the cost. The suite certifies the
+    objective that SGD samples and the spectral start, not the update that
+    ``optimize`` applies."""
+    fault(monkeypatch)
+    result = eq.run_suite(42, claims=claims)
+    assert sorted({r.claim for r in result.reports if not r.passed}) == sorted(claims)
