@@ -287,7 +287,9 @@ def cmd_embed(args) -> int:
                         "max_residual": float(calibration.residual.max())},
         "self_collisions": result.self_collisions,
         "initial_total": result.trace[0].loss.total,
+        "initial_total_se": result.trace[0].loss.repel_se,
         "final_total": result.trace[-1].loss.total,
+        "final_total_se": result.trace[-1].loss.repel_se,
     }
     if sol is not None:
         report["spectral"] = {"values": sol.values.tolist(), "n_null": sol.n_null,

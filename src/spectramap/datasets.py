@@ -109,7 +109,9 @@ def gen_two_moons(n: int, noise: float, seed: int) -> LabeledDataset:
 
 def _row_floats(cells: list[str], path: Path, line_no: int) -> list[float]:
     """The cells stripped and parsed one at a time, raising at the first that
-    is not a number or parses to nan or an infinity (``1e400`` too)."""
+    is not a number or parses to nan or an infinity (``1e400`` too).
+    ``load_csv`` parses a row in one pass and calls this only to word the
+    error of a row that failed."""
     values = []
     for c, cell in enumerate(cells):
         cell = cell.strip()
@@ -155,7 +157,7 @@ def load_csv(path, has_labels: bool = False) -> LabeledDataset:
     try:
         line_no = 1
         for row in reader:
-            if any(cell.strip() for cell in row):
+            if any(map(str.strip, row)):
                 raw.append((line_no, row))
             line_no = reader.line_num + 1
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
@@ -176,7 +178,13 @@ def load_csv(path, has_labels: bool = False) -> LabeledDataset:
             raise ParseError(
                 f"{path}: row {line_no} has {len(row)} fields, expected {width}"
             )
-        values = _row_floats(row, path, line_no)
+        try:
+            values = list(map(float, map(str.strip, row)))
+            finite = all(map(math.isfinite, values))
+        except ValueError:
+            finite = False
+        if not finite:  # word the error at the first bad cell
+            values = _row_floats(row, path, line_no)
         if has_labels:
             lab = values.pop()
             if not (lab.is_integer() and -(2.0**63) <= lab < 2.0**63):
@@ -206,5 +214,6 @@ def save_csv(dataset: LabeledDataset, path, prefix: str = "x") -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row, lab in zip(dataset.data.points, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row] + [str(int(lab))])
+        # csv writes a Python float as its repr and an int as its str
+        writer.writerows([*row, lab] for row, lab in zip(dataset.data.points.tolist(),
+                                                          dataset.labels.tolist()))

@@ -30,12 +30,17 @@ the degree-weighted prefactor n_neg/n, which is deg @ r.
 ``step_losses`` evaluates that estimator one sample at a time: the loss
 negative-sampling SGD actually minimizes. The optimizer traces it every
 epoch (through ``event_losses``, which scores rows with ``knn.sq_norms``)
-and the eq13 claim averages it; the full cross-entropy above is evaluated
-only at the trajectory's endpoints.
+and the eq13 claim averages it. At the trajectory's two endpoints the
+optimizer reports the cross-entropy above through ``sampled_cross_entropy``:
+its attraction, form, bound and edge give-back are the exact O(nnz) terms,
+and only the all-pairs sum over i of r_i is estimated, from ``LOSS_PAIRS``
+uniform ordered pairs, with its standard error. ``cross_entropy_loss`` sums
+all n(n - 1) pairs; it is the estimate's reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +54,8 @@ from .spectra import edge_sq_lengths, edge_sum, laplacian_quadratic
 # Floor under 1 - phi in the repulsion logs, which are -inf at coincident
 # points. The attraction never clamps: it uses the closed-form log_phi.
 LOG_CLAMP = 1e-12
+# uniform ordered pairs i != j that ``sampled_cross_entropy`` scores
+LOSS_PAIRS = 2**16
 
 
 def repel_logs(s: np.ndarray, p: KernelParams) -> np.ndarray:
@@ -84,7 +91,10 @@ class LossReport:
     bound: the form is the Laplacian form c * tr(Y^T L Y) for the gaussian
     kernel (c = 1/tau) and the cauchy kernel at b = 1 (c = 2a), and the
     p-Laplacian energy with p = 2b at any other b; the bound is None for
-    the gaussian kernel, whose attraction equals its form.
+    the gaussian kernel, whose attraction equals its form. ``repel_se`` is
+    the standard error of ``repel``, and so of ``total``: 0.0 when the
+    all-pairs sum is exact (``cross_entropy_loss``), the sampling error of
+    its estimate from ``sampled_cross_entropy``.
     """
 
     total: float
@@ -92,6 +102,7 @@ class LossReport:
     repel: float
     laplacian_form: float | None
     taylor_bound: float | None
+    repel_se: float
 
 
 def attractive_term(V: SimilarityGraph, Y: np.ndarray, p: KernelParams) -> float:
@@ -126,18 +137,53 @@ def first_order(
     return attract, p.a * edge_sum(w, sb), 0.5 * p.a * p.a * edge_sum(w, sb * sb)
 
 
-def cross_entropy_loss(V: SimilarityGraph, Y: np.ndarray, p: KernelParams) -> LossReport:
-    """Full cross-entropy over all ordered pairs, with its decomposition."""
+def _edge_terms(V: SimilarityGraph, Y: np.ndarray, p: KernelParams) -> tuple:
+    """``first_order``'s (attraction, form, bound) and the repulsion's edge
+    give-back sum v_ij log(1 - phi(s_ij)): every exact O(nnz) term of the
+    cross-entropy. ``edge_sq_lengths`` rejects a Y of the wrong row count."""
     attract, form, bound = first_order(V, Y, p)
     w, s = edge_sq_lengths(V, Y)
-    repel = float(repel_row_sums(Y, p).sum()) + edge_sum(w, repel_logs(s, p))
-    return LossReport(
-        total=attract + repel,
-        attract=attract,
-        repel=repel,
-        laplacian_form=form,
-        taylor_bound=bound,
-    )
+    return attract, form, bound, edge_sum(w, repel_logs(s, p))
+
+
+def _loss_report(terms: tuple, row_sum: float, se: float) -> LossReport:
+    """The report of ``_edge_terms`` plus the all-pairs sum of r_i, ``row_sum``,
+    whose standard error is ``se``."""
+    attract, form, bound, give_back = terms
+    repel = row_sum + give_back
+    return LossReport(total=attract + repel, attract=attract, repel=repel,
+                      laplacian_form=form, taylor_bound=bound, repel_se=se)
+
+
+def cross_entropy_loss(V: SimilarityGraph, Y: np.ndarray, p: KernelParams) -> LossReport:
+    """Full cross-entropy over all ordered pairs, with its decomposition."""
+    terms = _edge_terms(V, Y, p)
+    return _loss_report(terms, float(repel_row_sums(Y, p).sum()), 0.0)
+
+
+def sampled_cross_entropy(V: SimilarityGraph, Y: np.ndarray, p: KernelParams,
+                          rng: np.random.Generator) -> LossReport:
+    """``cross_entropy_loss`` with the all-pairs sum of r_i estimated.
+
+    The estimate scores ``LOSS_PAIRS`` ordered pairs i != j drawn uniformly
+    from ``rng`` (i from all n vertices, then j from the other n - 1) by
+    ``knn.sq_norms`` and ``repel_logs``: n(n - 1) times their mean, with
+    standard error n(n - 1) * std(ddof=1) / sqrt(LOSS_PAIRS), reported as
+    ``repel_se``. Every other field equals ``cross_entropy_loss``'s bit for
+    bit. O(nnz + LOSS_PAIRS) time and memory, and no BLAS.
+    """
+    terms = _edge_terms(V, Y, p)
+    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
+    n = Y.shape[0]
+    if n < 2:  # no pair to draw: the sum is empty
+        return _loss_report(terms, 0.0, 0.0)
+    i = rng.integers(0, n, LOSS_PAIRS)
+    j = rng.integers(0, n - 1, LOSS_PAIRS)
+    j += j >= i
+    log_q = repel_logs(sq_norms(Y.take(i, axis=0) - Y.take(j, axis=0)), p)
+    pairs = n * (n - 1)
+    return _loss_report(terms, -pairs * float(log_q.mean()),
+                        pairs * float(log_q.std(ddof=1)) / math.sqrt(LOSS_PAIRS))
 
 
 def expected_sgd_loss(

@@ -21,9 +21,11 @@ standard error of its samples' step losses (``losses.step_losses``), each
 taken at the rows the sample read, i.e. along the trajectory and not at the
 epoch's end: the estimator whose expectation claim eq13 certifies. Each
 wave computes them from the rows it gathers for its own update, through
-``losses.event_losses``, the arithmetic ``step_losses`` shares. The full
-O(n^2) ``cross_entropy_loss`` runs only on the starting layout and the final
-one.
+``losses.event_losses``, the arithmetic ``step_losses`` shares. The
+starting layout and the final one also get the full cross-entropy, from
+``losses.sampled_cross_entropy``: exact over the stored edges, its all-pairs
+repulsion estimated from ``losses.LOSS_PAIRS`` uniform pairs with a standard
+error, in O(nnz + LOSS_PAIRS). No stage of ``optimize`` visits all n^2 pairs.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 from .errors import ConfigurationError, OptimizationError, require_addressable
 from .fuzzy import SimilarityGraph
 from .kernels import KernelParams, grad_log_one_minus_phi_rows, grad_log_phi_rows
-from .losses import LossReport, cross_entropy_loss, event_losses
+from .losses import LossReport, event_losses, sampled_cross_entropy
 from .spectra import SpectralSolution
 
 # spectral starting coordinates are rescaled to this max-abs
@@ -191,8 +193,10 @@ class EpochRecord:
     """Trace entry for the state entering epoch ``epoch`` (the final entry,
     epoch == n_epochs, is the state after the last epoch; its alpha is 0).
 
-    ``loss`` is the full cross-entropy of this state, present only on the
-    first and the final entry (and on neither without ``track_loss``).
+    ``loss`` is the full cross-entropy of this state from
+    ``losses.sampled_cross_entropy`` (its repulsion estimated, with
+    ``repel_se``), present only on the first and the final entry (and on
+    neither without ``track_loss``).
     ``stats`` and ``wall_s`` describe the epoch that produced this state;
     epoch 0 has neither.
     """
@@ -305,7 +309,10 @@ def optimize(
     in one block per epoch, as the eq13 claim draws them. The epoch's
     samples then run in waves (see the module docstring); each trace entry
     after the first carries that epoch's ``EpochStats`` and wall time.
-    ``track_loss`` adds the full cross-entropy to the first and final entry.
+    ``track_loss`` adds the full cross-entropy to the first and final entry,
+    as ``losses.sampled_cross_entropy`` estimates it from its own stream,
+    ``default_rng([seed, 2])``, made once per call: the coordinates are the
+    same bits with or without it.
     Raises ``OptimizationError`` naming the epoch when a coordinate, a
     step-loss mean or standard error, or a full loss is not finite.
     """
@@ -314,6 +321,7 @@ def optimize(
     Y = Y0.coords.copy()
     n, d = Y.shape
     rng = np.random.default_rng(cfg.seed)
+    loss_rng = np.random.default_rng([cfg.seed, 2])
     sampler = EdgeSampler(V)
     n_samples = (
         cfg.samples_per_epoch
@@ -325,7 +333,7 @@ def optimize(
                wall_s: float | None = None) -> EpochRecord:
         alpha = cfg.initial_lr * (1.0 - epoch / cfg.n_epochs)
         endpoint = epoch in (0, cfg.n_epochs)
-        loss = cross_entropy_loss(V, Y, p) if track_loss and endpoint else None
+        loss = sampled_cross_entropy(V, Y, p, loss_rng) if track_loss and endpoint else None
         if loss is not None and not math.isfinite(loss.total):
             raise OptimizationError(f"non-finite loss {loss.total} at epoch {epoch}")
         return EpochRecord(epoch=epoch, alpha=alpha, loss=loss, stats=stats, wall_s=wall_s)

@@ -226,6 +226,18 @@ class TestEmbed:
                 rec["attract"], rel=1e-10
             )
 
+    def test_no_all_pairs_sum(self, tmp_path, monkeypatch):
+        """``embed`` sums no n^2 pairs: with the all-pairs row sums broken
+        it still runs, and its endpoint totals carry a sampling error."""
+        def all_pairs(*args):
+            raise AssertionError("embed summed all pairs")
+
+        monkeypatch.setattr(losses, "repel_row_sums", all_pairs)
+        code, out = self._embed(tmp_path)
+        assert code == 0
+        report = json.loads((out / "run.json").read_text())
+        assert report["initial_total_se"] > 0.0 and report["final_total_se"] > 0.0
+
     def test_dump_graph(self, tmp_path):
         code, out = self._embed(tmp_path, "--dump-graph")
         assert code == 0
@@ -257,7 +269,7 @@ class TestEmbed:
         assert len(records) == 21
         # the endpoints carry the full loss, every later line its epoch's
         # stats, and no line a wall time
-        loss_keys = ["total", "attract", "repel", "laplacian_form", "taylor_bound"]
+        loss_keys = ["total", "attract", "repel", "laplacian_form", "taylor_bound", "repel_se"]
         stats_keys = ["waves", "self_collisions", "clip_frac", "step_loss_mean", "step_loss_se"]
         assert list(records[0]) == ["epoch", "alpha", *loss_keys]
         assert all(list(rec) == ["epoch", "alpha", *stats_keys] for rec in records[1:-1])

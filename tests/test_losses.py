@@ -146,10 +146,63 @@ class TestCrossEntropyLoss:
         rep = sm.cross_entropy_loss(k2_graph, Y, sm.KernelParams.cauchy(1.9, 0.8))
         body = json.loads(json.dumps(asdict(rep)))
         assert set(body) == {"total", "attract", "repel", "laplacian_form",
-                             "taylor_bound"}
+                             "taylor_bound", "repel_se"}
         _, form, bound = sm.first_order(k2_graph, Y, sm.KernelParams.cauchy(1.9, 0.8))
         assert body["laplacian_form"] == form
         assert body["taylor_bound"] == bound
+
+
+class TestSampledCrossEntropy:
+    STREAMS = 200
+
+    def test_matches_the_exact_loss(self):
+        """On a fixed layout the sampled loss keeps the exact edge terms bit
+        for bit, and its repulsion is unbiased with an honest error.
+
+        Each of K = 200 independent streams gives z = (repel - exact) / repel_se.
+        The estimate averages LOSS_PAIRS = 65536 i.i.d. bounded pair terms and
+        repel_se is their sample deviation over sqrt(LOSS_PAIRS), so z is a
+        Student t with 65535 degrees of freedom, N(0, 1) to well within these
+        bounds. The mean of K such z is N(0, 1/K): 4 standard deviations is
+        |mean| <= 4 / sqrt(200) = 0.283. Their sample variance s^2 (ddof=1)
+        is chi^2_{K-1} / (K - 1), with standard deviation sqrt(2 / (K - 1)) =
+        0.100: 4 of those is |s^2 - 1| <= 0.40. Either bound fails by chance
+        about once in 10^4 runs. A self pair in the draws (r = -log LOG_CLAMP)
+        biases z by far more, and so does an n^2 in place of n(n - 1) here.
+        """
+        V = pipeline_graph(200, 3)
+        Y = sm.spectral_embedding(sm.spectral_init(V, 2)).coords
+        p = sm.KernelParams.cauchy(1.58, 0.9)
+        exact = sm.cross_entropy_loss(V, Y, p)
+        assert exact.repel_se == 0.0
+        z = []
+        for k in range(self.STREAMS):
+            rep = sm.sampled_cross_entropy(V, Y, p, np.random.default_rng([30, k]))
+            assert (rep.attract, rep.laplacian_form, rep.taylor_bound) == (
+                exact.attract, exact.laplacian_form, exact.taylor_bound)
+            assert rep.total == rep.attract + rep.repel
+            assert rep.repel_se > 0.0
+            z.append((rep.repel - exact.repel) / rep.repel_se)
+        assert abs(np.mean(z)) <= 4.0 / np.sqrt(self.STREAMS)
+        assert abs(np.var(z, ddof=1) - 1.0) <= 4.0 * np.sqrt(2.0 / (self.STREAMS - 1))
+
+    def test_draws_only_the_pair_sample(self):
+        # the stored edges are exact, so only LOSS_PAIRS pairs are scored:
+        # the stream has moved by exactly the two index draws
+        V = pipeline_graph(40, 3)
+        Y = np.random.default_rng(31).standard_normal((V.n, 2))
+        rng = np.random.default_rng(5)
+        sm.sampled_cross_entropy(V, Y, sm.KernelParams.gaussian(0.9), rng)
+        ref = np.random.default_rng(5)
+        ref.integers(0, V.n, losses.LOSS_PAIRS)
+        ref.integers(0, V.n - 1, losses.LOSS_PAIRS)
+        assert rng.random() == ref.random()
+
+    def test_one_vertex_has_no_pairs(self):
+        V = sm.SimilarityGraph.from_dense([[0.0]])
+        rep = sm.sampled_cross_entropy(V, np.zeros((1, 2)), sm.KernelParams.cauchy(),
+                                       np.random.default_rng(0))
+        assert (rep.total, rep.repel, rep.repel_se) == (0.0, 0.0, 0.0)
 
 
 class TestLaplacianComparison:
@@ -400,6 +453,8 @@ class TestRowCountCheck:
         lambda V, Y: sm.first_order(V, Y, sm.KernelParams.cauchy()),
         lambda V, Y: sm.expected_sgd_loss(V, Y, sm.KernelParams.cauchy(), 5),
         lambda V, Y: sm.cross_entropy_loss(V, Y, sm.KernelParams.gaussian(1.0)),
+        lambda V, Y: sm.sampled_cross_entropy(V, Y, sm.KernelParams.cauchy(),
+                                              np.random.default_rng(0)),
     ])
     def test_too_many_rows_rejected(self, p3_graph, loss):
         # a 7-row Y would index the first three rows and ignore the rest

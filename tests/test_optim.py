@@ -235,6 +235,18 @@ class TestOptimize:
         assert isinstance(res.trace[-1].loss, sm.LossReport)
         assert res.trace[1].loss is None
 
+    def test_endpoint_loss_leaves_coordinates(self, two_blob_graph):
+        """The endpoint losses draw from their own stream, so the trajectory
+        is the same bits with and without them."""
+        Y0 = sm.spectral_embedding(sm.spectral_init(two_blob_graph, 2))
+        cfg = small_config(n_epochs=3)
+        p = sm.KernelParams.cauchy(1.5, 0.9)
+        tracked = sm.optimize(two_blob_graph, Y0, p, cfg, track_loss=True)
+        untracked = sm.optimize(two_blob_graph, Y0, p, cfg, track_loss=False)
+        assert np.array_equal(tracked.embedding.coords, untracked.embedding.coords)
+        assert tracked.trace[0].loss.repel_se > 0.0
+        assert all(rec.loss is None for rec in untracked.trace)
+
     def test_move_other_mirrors_attraction(self, k2_graph):
         Y0 = sm.Embedding(np.array([[0.0, 0.0], [2.0, 0.0]]), "external")
         p = sm.KernelParams.gaussian(1.0)
