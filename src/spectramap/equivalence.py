@@ -246,17 +246,21 @@ def mc_step_losses(
 ) -> np.ndarray:
     """Draws of the per-event loss under the real sampling scheme.
 
-    ``EdgeSampler.draw_events`` draws the events as the optimizer does, and
-    ``losses.step_losses`` evaluates every draw at Y, the same arithmetic the
-    optimizer traces each epoch with. Each draw's loss depends on that draw
-    alone, so they are evaluated ``MC_SLICE`` draws at a time into one
-    output array, keeping the evaluation's temporaries small.
+    The events are the optimizer's, ``EdgeSampler.draw_events``'s stream,
+    and ``losses.step_losses`` evaluates every draw at Y, the same
+    arithmetic the optimizer traces each epoch with. Each draw's loss
+    depends on that draw alone, so after the pairs the draws go
+    ``MC_SLICE`` at a time: each slice's negatives are drawn just before
+    they are scored into one output array, so neither the whole negatives
+    block nor the evaluation's temporaries are held at once.
     """
-    anchors, partners, negs = EdgeSampler(V).draw_events(rng, n_draws, n_neg)
+    sampler = EdgeSampler(V)
+    anchors, partners = sampler.draw_pairs(rng, n_draws)
     losses = np.empty(n_draws)
     for lo in range(0, n_draws, MC_SLICE):
         s = slice(lo, lo + MC_SLICE)
-        losses[s] = step_losses(Y, anchors[s], partners[s], negs[s], p)
+        negs = sampler.draw_negatives(rng, anchors[s].size, n_neg)
+        losses[s] = step_losses(Y, anchors[s], partners[s], negs, p)
     return losses
 
 
@@ -333,25 +337,37 @@ def check_laplacian_identity(trials: int, seed) -> EquivalenceReport:
 def check_ncut_relaxation(n_graphs: int, seed) -> EquivalenceReport:
     """Generalized-vs-normalized eigenproblem agreement over random graphs.
 
-    Dense solves of L u = lambda D u and Lnorm v = lambda v on each graph give
-    the 3 pairs above the null space; u -> D^{1/2} u must map one subspace
-    onto the other. Residual is the worse of (eigenvalue gap / 1e-8) and
-    (principal angle / 1e-6), so 1.0 is the pass line for both at once.
+    Two dense solves on each graph give the 3 pairs above the null space:
+    L u = lambda D u through the nonsymmetric ``np.linalg.eig`` of the
+    random-walk matrix D^-1 L, sorted by real part, and Lnorm v = lambda v
+    through the symmetric ``np.linalg.eigh``. u -> D^{1/2} u must map one
+    subspace onto the other (von Luxburg, "A tutorial on spectral
+    clustering", 2007, Prop. 3). The eigenvalue gap includes the compared
+    pairs' largest |Im lambda|, so a complex pair fails the claim. The
+    largest principal angle is arcsin of the top singular value of
+    Q_a - Q_b (Q_b^T Q_a), which stays accurate for small angles (Knyazev &
+    Argentati, SIAM J. Sci. Comput. 2002). Residual is the worse of
+    (eigenvalue gap / 1e-8) and (principal angle / 1e-6), so 1.0 is the
+    pass line for both at once.
     """
-    import scipy.linalg  # about 0.2 s to import, which embed never pays
-
     rng = np.random.default_rng(seed)
     worst = worst_gap = worst_angle = 0.0
     for _ in range(n_graphs):
         V = random_connected_graph(int(rng.integers(10, 31)), rng)
         deg = V.degrees()
-        gvals, gvecs = scipy.linalg.eigh(np.diag(deg) - V.matrix.toarray(), np.diag(deg))
-        nvals, nvecs = scipy.linalg.eigh(normalized_laplacian(V).toarray())
-        gn = int(np.sum(gvals <= NULL_SPACE_TOL))
+        gvals, gvecs = np.linalg.eig((np.diag(deg) - V.matrix.toarray()) / deg[:, None])
+        order = np.argsort(gvals.real)
+        gvals, gvecs = gvals[order], gvecs[:, order]
+        nvals, nvecs = np.linalg.eigh(normalized_laplacian(V).toarray())
+        gn = int(np.sum(gvals.real <= NULL_SPACE_TOL))
         nn = int(np.sum(nvals <= NULL_SPACE_TOL))
-        gap = float(np.abs(gvals[gn : gn + 3] - nvals[nn : nn + 3]).max())
-        mapped = np.sqrt(deg)[:, None] * gvecs[:, gn : gn + 3]
-        angle = float(scipy.linalg.subspace_angles(mapped, nvecs[:, nn : nn + 3]).max())
+        wanted = gvals[gn : gn + 3]
+        gap = float(max(np.abs(wanted.real - nvals[nn : nn + 3]).max(),
+                        np.abs(wanted.imag).max()))
+        mapped, _ = np.linalg.qr(np.sqrt(deg)[:, None] * gvecs[:, gn : gn + 3].real)
+        ortho = nvecs[:, nn : nn + 3]
+        sine = np.linalg.svd(mapped - ortho @ (ortho.T @ mapped), compute_uv=False).max()
+        angle = float(np.arcsin(min(sine, 1.0)))
         worst_gap = max(worst_gap, gap)
         worst_angle = max(worst_angle, angle)
         worst = max(worst, gap / 1e-8, angle / 1e-6)
@@ -373,7 +389,7 @@ class SuiteResult:
     """The claim reports (thm3.1b and eq20_bound on the b = 1 kernel and on
     ``fit_ab(DEFAULT_MIN_DIST)``'s, whose first-order form is the p-Laplacian
     energy with p = 2b), each claim's wall time in seconds and the time spent
-    importing the claims' scipy modules before their clocks. Wall times
+    importing ``scipy.sparse`` before the first clock. Wall times
     differ run to run and so stay out of report.json."""
 
     reports: list[EquivalenceReport]
@@ -443,11 +459,6 @@ CLAIM_REGISTRY = (
     ("a3_relaxation", 6, _run_a3_relaxation),
 )
 CLAIM_IDS = tuple(claim for claim, _, _ in CLAIM_REGISTRY)
-# what each claim imports on first use: every claim builds a CSR matrix, and
-# a3_relaxation's dense oracle solves with scipy.linalg, whose ~8 MB would
-# sit under eq13_montecarlo's peak if it were imported before that claim
-SCIPY_MODULES = dict.fromkeys(CLAIM_IDS, ("scipy.sparse",)) | {
-    "a3_relaxation": ("scipy.sparse", "scipy.linalg")}
 
 
 def run_suite(
@@ -457,9 +468,9 @@ def run_suite(
 ) -> SuiteResult:
     """Evaluate every claim (or a filtered subset) in ``CLAIM_REGISTRY``'s
     order, each on its own stream, ``default_rng([master_seed, key])``.
-    A claim's ``SCIPY_MODULES`` are imported before its clock starts and
-    their time is summed in ``import_s``, so no claim's wall time holds a
-    first-use import."""
+    Every claim but lemmaA1 builds a CSR matrix, so ``scipy.sparse`` is
+    imported before the first claim's clock starts and its time is
+    ``import_s``: no claim's wall time holds a first-use import."""
     wanted = set(CLAIM_IDS if claims is None else claims)
     if not wanted:
         raise ConfigurationError("no claim ids to run")
@@ -467,13 +478,11 @@ def run_suite(
         raise ConfigurationError(f"unknown claim ids: {sorted(wanted - set(CLAIM_IDS))}; "
                                  f"valid ids: {', '.join(CLAIM_IDS)}")
 
-    result = SuiteResult(reports=[])
+    start = time.perf_counter()
+    importlib.import_module("scipy.sparse")
+    result = SuiteResult(reports=[], import_s=time.perf_counter() - start)
     for claim, key, run in CLAIM_REGISTRY:
         if claim in wanted:
-            start = time.perf_counter()
-            for module in SCIPY_MODULES[claim]:
-                importlib.import_module(module)
-            result.import_s += time.perf_counter() - start
             start = time.perf_counter()
             result.reports += run(np.random.default_rng([master_seed, key]), n_draws)
             result.claim_wall_s[claim] = time.perf_counter() - start

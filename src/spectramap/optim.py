@@ -110,18 +110,29 @@ class EdgeSampler:
 
     def draw_events(self, rng: np.random.Generator, size: int, n_neg: int) -> tuple:
         """``size`` negative-sampling events (anchors, partners, negs), drawn
-        from one stream in this order: alias slots and their acceptance
-        uniforms (an edge ~ weight), fair orientation coins, then the
-        (size, n_neg) uniform negatives row by row; a negative may be its own
-        anchor."""
-        require_addressable(size * max(2, n_neg), f"{size} events with {n_neg} negatives each")
+        from one stream in two blocks: ``draw_pairs``, then
+        ``draw_negatives``; a negative may be its own anchor."""
+        return *self.draw_pairs(rng, size), self.draw_negatives(rng, size, n_neg)
+
+    def draw_pairs(self, rng: np.random.Generator, size: int) -> tuple:
+        """The first block of ``size`` events: their (anchors, partners),
+        from alias slots and their acceptance uniforms (an edge ~ weight),
+        then fair orientation coins."""
+        require_addressable(2 * size, f"{size} events")
         slot = rng.integers(0, self.prob.size, size=size)
         accept = rng.random(size) < self.prob[slot]
         pairs = self.endpoints[np.where(accept, slot, self.alias[slot])]
         flip = rng.integers(0, 2, size=size).astype(bool)
         pairs = np.where(flip[:, None], pairs[:, ::-1], pairs)
-        negs = rng.integers(0, self.n, size * n_neg).reshape(size, n_neg)
-        return pairs[:, 0], pairs[:, 1], negs
+        return pairs[:, 0], pairs[:, 1]
+
+    def draw_negatives(self, rng: np.random.Generator, size: int, n_neg: int) -> np.ndarray:
+        """The second block: (size, n_neg) uniform negatives, row by row.
+        The block can be drawn in slices of rows: PCG64 serves k bounded
+        integers the same however the k draws are split, so a caller may
+        draw and use one slice at a time."""
+        require_addressable(size * n_neg, f"{size} events with {n_neg} negatives each")
+        return rng.integers(0, self.n, size * n_neg).reshape(size, n_neg)
 
 
 def _build_alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,10 +239,11 @@ def wave_schedule(
     read = [0] * n  # latest wave that read each row
     last_write = written.__getitem__
     waves = []
-    table = np.column_stack([anchors, partners, negs])
-    # rows become Python lists a chunk at a time, to keep that copy small
-    for start in range(0, len(table), SCHEDULE_CHUNK):
-        for rows in table[start : start + SCHEDULE_CHUNK].tolist():
+    # rows become Python lists a chunk at a time, so no copy of the whole
+    # epoch's (m, n_neg + 2) table is ever held
+    for start in range(0, len(anchors), SCHEDULE_CHUNK):
+        s = slice(start, start + SCHEDULE_CHUNK)
+        for rows in np.column_stack([anchors[s], partners[s], negs[s]]).tolist():
             a = rows[0]
             w = max(map(last_write, rows)) + 1
             if read[a] > w:
@@ -306,9 +318,10 @@ def optimize(
 
     Deterministic for a fixed config: a single PCG64 stream drives edge
     choice, orientation, and negatives, drawn by ``EdgeSampler.draw_events``
-    in one block per epoch, as the eq13 claim draws them. The epoch's
-    samples then run in waves (see the module docstring); each trace entry
-    after the first carries that epoch's ``EpochStats`` and wall time.
+    once per epoch; the eq13 claim draws the same stream, its negatives a
+    slice at a time. The epoch's samples then run in waves (see the module
+    docstring); each trace entry after the first carries that epoch's
+    ``EpochStats`` and wall time.
     ``track_loss`` adds the full cross-entropy to the first and final entry,
     as ``losses.sampled_cross_entropy`` estimates it from its own stream,
     ``default_rng([seed, 2])``, made once per call: the coordinates are the

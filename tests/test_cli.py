@@ -435,12 +435,12 @@ class TestVerify:
         assert "wall" not in (out / "report.json").read_text()
 
     def test_scipy_imports_precede_each_claims_clock(self, tmp_path):
-        """``run_suite`` imports a claim's scipy modules before its clock
-        starts and ``timing.json`` books that time as ``import_s``: holding
-        the first import, thm3.1a read 0.14-0.27 s and a3_relaxation
-        0.06-0.18 s, against 7-9 and 23-49 ms without it.
-        ``scipy.linalg`` waits for a3_relaxation, so its ~8 MB stay out of
-        eq13_montecarlo's peak."""
+        """``run_suite`` imports ``scipy.sparse`` before the first claim's
+        clock starts and ``timing.json`` books that time as ``import_s``:
+        holding the first import, thm3.1a read 0.14-0.27 s, against 7-9 ms
+        without it. No claim loads ``scipy.linalg``: a3_relaxation's dense
+        oracle runs on numpy's LAPACK, so no second BLAS and its ~7 MB join
+        the process."""
         out = tmp_path / "verify"
         child = run_child(
             "import sys\nfrom spectramap import cli, equivalence\n"
@@ -455,9 +455,8 @@ class TestVerify:
             f"sys.exit(cli.main(['verify', '--draws', '2000', '--out-dir', {str(out)!r}]))")
         assert child.returncode == 0
         claims = list(equivalence.CLAIM_IDS)
-        loaded = {claim: ["scipy.sparse"] for claim in claims}
-        loaded["a3_relaxation"].append("scipy.linalg")
-        assert child.stdout.splitlines()[:len(claims)] == [f"{c} {loaded[c]}" for c in claims]
+        assert child.stdout.splitlines()[:len(claims)] == [f"{c} ['scipy.sparse']"
+                                                           for c in claims]
         timing = strict_json((out / "timing.json").read_text())
         assert list(timing) == ["import_s", "claim_wall_s"]
         assert timing["import_s"] > 0.0 and list(timing["claim_wall_s"]) == claims
@@ -695,12 +694,15 @@ def test_one_failure_route(tmp_path, command, tag):
 
 def test_cli_import_loads_no_scipy_solvers(tmp_path):
     """``scipy.linalg`` and the sparse solver modules cost about 0.2 s per
-    process to import; neither importing the CLI nor a small ``embed``, whose
-    spectral start takes the same block solver as a large one, loads them."""
+    process to import; neither importing the CLI, nor a small ``embed``, whose
+    spectral start takes the same block solver as a large one, nor
+    a3_relaxation's dense oracle loads them."""
     heavy = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
     embed = ["embed", "--gen", "blobs", "--n", "60", "--k", "5", "--epochs", "2",
              "--out-dir", str(tmp_path)]
-    for run in ("", f"assert spectramap.cli.main({embed!r}) == 0; "):
+    verify = ["verify", "--claims", "a3_relaxation", "--out-dir", str(tmp_path / "verify")]
+    for run in ("", f"assert spectramap.cli.main({embed!r}) == 0; ",
+                f"assert spectramap.cli.main({verify!r}) == 0; "):
         out = run_child(f"import spectramap.cli, sys; {run}"
                         f"print([m for m in {heavy!r} if m in sys.modules])")
         assert out.returncode == 0 and out.stdout.splitlines()[-1] == "[]"

@@ -123,6 +123,36 @@ class TestNegativeSampling:
         assert np.array_equal(partners, partners0)
         assert np.array_equal(negs, rng.integers(0, two_blob_graph.n, 1500).reshape(500, 3))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        vertices=st.sampled_from([None, 1000, 2**33]),
+        size=st.integers(0, 300),
+        n_neg=st.integers(0, 5),
+        widths=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_negatives_draw_in_slices(self, n, vertices, size, n_neg, widths, seed):
+        """``draw_events`` is ``draw_pairs`` then ``draw_negatives``, and the
+        negatives block may be drawn in slices of any widths, odd or even,
+        leaving the stream where the whole draw does: eq13's Monte Carlo
+        draws it one slice at a time. ``vertices`` stands in for a larger
+        graph: past 2^32 numpy draws its bounded integers in 64 bits."""
+        sampler = EdgeSampler(random_similarity_graph(n, np.random.default_rng(seed)))
+        if vertices is not None:
+            sampler.n = vertices
+        whole = np.random.default_rng(seed)
+        anchors, partners, negs = sampler.draw_events(whole, size, n_neg)
+        rng = np.random.default_rng(seed)
+        pairs = sampler.draw_pairs(rng, size)
+        assert np.array_equal(pairs[0], anchors) and np.array_equal(pairs[1], partners)
+        lo = i = 0
+        while lo < size:
+            hi = min(lo + widths[i % len(widths)], size)
+            assert np.array_equal(sampler.draw_negatives(rng, hi - lo, n_neg), negs[lo:hi])
+            lo, i = hi, i + 1
+        assert rng.bit_generator.state == whole.bit_generator.state
+
     def test_stream_pinned(self):
         # values recorded from the sampler before its draws were folded
         # into draw_events; any change to the stream changes every seeded run

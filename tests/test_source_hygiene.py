@@ -182,6 +182,40 @@ def imports_module(source: str, module: str) -> bool:
     return False
 
 
+def scipy_imports(source: str) -> list[str]:
+    """``scope:module`` for each scipy module the source imports, by
+    ``import``, ``from … import`` or ``import_module`` of a literal name,
+    other than ``scipy.sparse`` imported in a function body; the scope is the
+    enclosing function, or ``<module>``. An ``if TYPE_CHECKING:`` body never
+    runs and is skipped."""
+    found = []
+
+    def visit(nodes, scope):
+        for node in nodes:
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+                visit(node.orelse, scope)
+                continue
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(node.body, node.name)
+                continue
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            elif (isinstance(node, ast.Call) and node.args
+                  and getattr(node.func, "attr", getattr(node.func, "id", None)) == "import_module"
+                  and isinstance(node.args[0], ast.Constant)):
+                names = [node.args[0].value]
+            else:
+                names = []
+            found.extend(f"{scope}:{name}" for name in names if name.split(".")[0] == "scipy"
+                         and (name != "scipy.sparse" or scope == "<module>"))
+            visit(ast.iter_child_nodes(node), scope)
+
+    visit(ast.parse(source).body, "<module>")
+    return found
+
+
 def test_finds_an_unused_import():
     source = "import os\nimport numpy as np\nfrom .spectra import a, b\nnp.zeros(a)\n"
     assert unused_imports(source) == ["b", "os"]
@@ -268,6 +302,26 @@ def test_only_the_cli_imports_json():
     output file writes a non-finite float."""
     assert [p.name for p in SOURCES
             if imports_module(p.read_text(encoding="utf-8"), "json")] == ["cli.py"]
+
+
+def test_finds_a_scipy_import():
+    source = ("import scipy.sparse as sp\nif TYPE_CHECKING:\n    import scipy.linalg\n"
+              "def f():\n    import scipy.sparse as sp\n    from scipy import linalg\n"
+              "    import scipy.sparse.linalg\n"
+              "    return importlib.import_module('scipy.linalg'), sp.eye(1)\n"
+              "def g():\n    from scipy.sparse import csr_matrix\n    import numpy.linalg\n"
+              "    return importlib.import_module('scipy.sparse'), csr_matrix\n")
+    assert scipy_imports(source) == ["<module>:scipy.sparse", "f:scipy",
+                                     "f:scipy.sparse.linalg", "f:scipy.linalg"]
+
+
+def test_scipy_is_only_sparse_and_only_in_functions():
+    """``scipy.sparse`` is the one scipy module the package runs, imported
+    where it is first needed, so ``import spectramap.cli`` loads no scipy.
+    ``scipy.linalg`` would bring a second BLAS and about 7 MB into ``verify``;
+    the dense oracles use ``np.linalg``."""
+    assert [f"{p.name}:{found}" for p in SOURCES
+            for found in scipy_imports(p.read_text(encoding="utf-8"))] == []
 
 
 @pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")
