@@ -27,8 +27,8 @@ _EXPORTS = {
               "directed_weights", "smooth_knn_params", "symmetrize", "t_conorm"),
     "kernels": ("KernelParams", "MinDistFit", "fit_ab", "log_phi", "one_minus_phi"),
     "knn": ("KnnGraph", "knn_search"),
-    "losses": ("LossReport", "attractive_term", "cross_entropy_loss", "expected_sgd_loss",
-               "first_order", "sampled_cross_entropy", "step_losses"),
+    "losses": ("LossReport", "cross_entropy_loss", "expected_sgd_loss", "first_order",
+               "sampled_cross_entropy", "step_losses"),
     "optim": ("EdgeSampler", "Embedding", "OptimizeResult", "OptimizerConfig", "optimize",
               "random_embedding", "spectral_embedding"),
     "spectra": ("SpectralSolution", "laplacian_quadratic", "normalized_laplacian",

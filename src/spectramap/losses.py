@@ -14,8 +14,9 @@ edges, the repulsion is evaluated as an all-pairs sum minus an edge give-back,
 
 where the row sums r_i run over cache-sized ``knn.row_block_buffers`` with
 the coordinate-order ``knn.block_sq_dists``, so no n x n array is ever
-held, and the attraction and give-back run over the stored edges with the
-lengths of ``spectra.edge_sq_lengths``, summed by ``spectra.edge_sum``.
+held, and every edge term (attraction, form, bound, give-back) sums, by
+``spectra.edge_sum``, the stored edges' lengths from one
+``spectra.edge_sq_lengths`` pass per loss evaluation.
 Every attraction log is the closed-form ``log_phi``, finite at any distance
 for both kernel families, so for the Gaussian kernel the attraction equals
 (1/tau) * tr(Y^T L Y) identically at every scale; for the heavy-tailed
@@ -49,7 +50,7 @@ from .errors import ConfigurationError
 from .fuzzy import SimilarityGraph
 from .kernels import KernelParams, log_phi, one_minus_phi
 from .knn import block_sq_dists, row_block_buffers, sq_norms
-from .spectra import edge_sq_lengths, edge_sum, laplacian_quadratic
+from .spectra import edge_sq_lengths, edge_sum
 
 # Floor under 1 - phi in the repulsion logs, which are -inf at coincident
 # points. The attraction never clamps: it uses the closed-form log_phi.
@@ -105,10 +106,13 @@ class LossReport:
     repel_se: float
 
 
-def attractive_term(V: SimilarityGraph, Y: np.ndarray, p: KernelParams) -> float:
-    """-sum_{i != j} v_ij log phi(s_ij) over stored edges, closed-form logs."""
-    w, s = edge_sq_lengths(V, Y)
-    return -edge_sum(w, log_phi(s, p))
+def _first_order(w: np.ndarray, s: np.ndarray, p: KernelParams) -> tuple:
+    """``first_order`` on the stored edges' weights w and squared lengths s."""
+    attract = -edge_sum(w, log_phi(s, p))
+    if p.family == "gaussian":
+        return attract, (1.0 / p.tau) * (0.5 * edge_sum(w, s)), None
+    sb = s**p.b
+    return attract, p.a * edge_sum(w, sb), 0.5 * p.a * p.a * edge_sum(w, sb * sb)
 
 
 def first_order(
@@ -116,49 +120,39 @@ def first_order(
 ) -> tuple[float, float, float | None]:
     """The attraction, its first-order form, and the bound on their gap.
 
-    Sums run over ordered stored edges with squared lengths s. For the
-    gaussian kernel -log phi = s / (2 tau), so the attraction equals the
-    form (1/tau) * tr(Y^T L Y) and the bound is None. For the cauchy kernel
-    -log phi = log(1 + x) with x = a * s^b, and x - x^2/2 <= log(1 + x) <= x,
-    so the attraction lies below the form a * sum w s^b by at most the bound
-    (a^2 / 2) * sum w s^{2b}. The form is the graph p-Laplacian energy with
-    p = 2b (Bühler & Hein, ICML 2009); at b = 1 it is 2a * tr(Y^T L Y). The
-    attraction comes from ``attractive_term``'s closed-form logs. For the
-    cauchy kernel that route is independent of the form's; for the gaussian
-    kernel both sum w s over the same ``edge_sq_lengths`` and differ only by
-    scalar factors, so the thm3.1a claim checks them against a matrix route
-    of its own.
+    Sums run over ordered stored edges with the squared lengths s of one
+    ``edge_sq_lengths`` pass. The attraction is -sum w log phi(s) with the
+    closed-form logs. For the gaussian kernel -log phi = s / (2 tau), so the
+    attraction equals the form (1/tau) * tr(Y^T L Y), the half-sum of w s,
+    and the bound is None. For the cauchy kernel -log phi = log(1 + x) with
+    x = a * s^b, and x - x^2/2 <= log(1 + x) <= x, so the attraction lies
+    below the form a * sum w s^b by at most the bound (a^2 / 2) * sum w
+    s^{2b}. The form is the graph p-Laplacian energy with p = 2b (Bühler &
+    Hein, ICML 2009); at b = 1 it is 2a * tr(Y^T L Y). For the cauchy kernel
+    the attraction's route is independent of the form's; for the gaussian
+    kernel both sum w s and differ only by scalar factors, so the thm3.1a
+    claim checks them against a matrix route of its own.
     """
-    attract = attractive_term(V, Y, p)
-    if p.family == "gaussian":
-        return attract, (1.0 / p.tau) * laplacian_quadratic(V, Y), None
+    return _first_order(*edge_sq_lengths(V, Y), p)
+
+
+def _loss_report(V: SimilarityGraph, Y: np.ndarray, p: KernelParams,
+                 row_sum: float, se: float) -> LossReport:
+    """The report whose all-pairs sum of r_i is ``row_sum``, with standard
+    error ``se``. Every exact O(nnz) term reads one ``edge_sq_lengths`` pass,
+    which rejects a Y of the wrong row count: ``first_order``'s terms, then
+    the repulsion's edge give-back sum v_ij log(1 - phi(s_ij)), last, because
+    ``repel_logs`` overwrites the lengths."""
     w, s = edge_sq_lengths(V, Y)
-    sb = s**p.b
-    return attract, p.a * edge_sum(w, sb), 0.5 * p.a * p.a * edge_sum(w, sb * sb)
-
-
-def _edge_terms(V: SimilarityGraph, Y: np.ndarray, p: KernelParams) -> tuple:
-    """``first_order``'s (attraction, form, bound) and the repulsion's edge
-    give-back sum v_ij log(1 - phi(s_ij)): every exact O(nnz) term of the
-    cross-entropy. ``edge_sq_lengths`` rejects a Y of the wrong row count."""
-    attract, form, bound = first_order(V, Y, p)
-    w, s = edge_sq_lengths(V, Y)
-    return attract, form, bound, edge_sum(w, repel_logs(s, p))
-
-
-def _loss_report(terms: tuple, row_sum: float, se: float) -> LossReport:
-    """The report of ``_edge_terms`` plus the all-pairs sum of r_i, ``row_sum``,
-    whose standard error is ``se``."""
-    attract, form, bound, give_back = terms
-    repel = row_sum + give_back
+    attract, form, bound = _first_order(w, s, p)
+    repel = row_sum + edge_sum(w, repel_logs(s, p))
     return LossReport(total=attract + repel, attract=attract, repel=repel,
                       laplacian_form=form, taylor_bound=bound, repel_se=se)
 
 
 def cross_entropy_loss(V: SimilarityGraph, Y: np.ndarray, p: KernelParams) -> LossReport:
     """Full cross-entropy over all ordered pairs, with its decomposition."""
-    terms = _edge_terms(V, Y, p)
-    return _loss_report(terms, float(repel_row_sums(Y, p).sum()), 0.0)
+    return _loss_report(V, Y, p, float(repel_row_sums(Y, p).sum()), 0.0)
 
 
 def sampled_cross_entropy(V: SimilarityGraph, Y: np.ndarray, p: KernelParams,
@@ -172,17 +166,16 @@ def sampled_cross_entropy(V: SimilarityGraph, Y: np.ndarray, p: KernelParams,
     ``repel_se``. Every other field equals ``cross_entropy_loss``'s bit for
     bit. O(nnz + LOSS_PAIRS) time and memory, and no BLAS.
     """
-    terms = _edge_terms(V, Y, p)
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     n = Y.shape[0]
     if n < 2:  # no pair to draw: the sum is empty
-        return _loss_report(terms, 0.0, 0.0)
+        return _loss_report(V, Y, p, 0.0, 0.0)
     i = rng.integers(0, n, LOSS_PAIRS)
     j = rng.integers(0, n - 1, LOSS_PAIRS)
     j += j >= i
     log_q = repel_logs(sq_norms(Y.take(i, axis=0) - Y.take(j, axis=0)), p)
     pairs = n * (n - 1)
-    return _loss_report(terms, -pairs * float(log_q.mean()),
+    return _loss_report(V, Y, p, -pairs * float(log_q.mean()),
                         pairs * float(log_q.std(ddof=1)) / math.sqrt(LOSS_PAIRS))
 
 
@@ -197,7 +190,7 @@ def expected_sgd_loss(
     """
     if n_neg < 0:
         raise ConfigurationError("n_neg must be >= 0")
-    attract = attractive_term(V, Y, p)
+    attract = first_order(V, Y, p)[0]
     if n_neg == 0:
         return attract
     repel = (n_neg / V.n) * float(V.degrees() @ repel_row_sums(Y, p))

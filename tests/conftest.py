@@ -101,9 +101,10 @@ def log_one_minus_phi(sq_dist, p, eps=0.0):
     return out if out.ndim else float(out)
 
 
-def negated_laplacian_quadratic(V, Z):
-    """A broken quadratic form, its sign flipped: the claim suite must fail on it."""
-    return -sm.laplacian_quadratic(V, Z)
+def negated_form(V, Y, p):
+    """``first_order`` with its form's sign flipped: the claim suite must fail on it."""
+    attract, form, bound = sm.first_order(V, Y, p)
+    return attract, -form, bound
 
 
 def stochastic_step_loss(a, b, negs, Y, p):

@@ -16,7 +16,7 @@ from spectramap.errors import EigensolverError
 from spectramap.kernels import DEFAULT_MIN_DIST
 from spectramap.spectra import BLOCK_EXTRA, FILTER_DEGREE
 
-from conftest import negated_laplacian_quadratic, read_edge_list
+from conftest import negated_form, read_edge_list
 
 
 def run_cli(*args):
@@ -461,6 +461,17 @@ class TestVerify:
         assert list(timing) == ["import_s", "claim_wall_s"]
         assert timing["import_s"] > 0.0 and list(timing["claim_wall_s"]) == claims
 
+    def test_lemmaA1_alone_imports_no_scipy(self, tmp_path):
+        """lemmaA1 builds no sparse matrix, so run alone it skips the import
+        and books none: ``verify --claims lemmaA1`` read 0.148-0.156 s of
+        ``import_s`` for a module it never used."""
+        out = tmp_path / "verify"
+        verify = ["verify", "--claims", "lemmaA1", "--out-dir", str(out)]
+        child = run_child(f"import sys; from spectramap import cli; assert cli.main({verify!r}) == 0; "
+                          "print('scipy.sparse' in sys.modules)")
+        assert child.returncode == 0 and child.stdout.splitlines()[-1] == "False"
+        assert strict_json((out / "timing.json").read_text())["import_s"] == 0.0
+
     def test_non_finite_residual_is_strict_json(self, tmp_path, capsys, monkeypatch):
         """A claim whose measurement is not finite fails as a claim, and its
         report still parses as strict JSON."""
@@ -498,7 +509,7 @@ class TestVerify:
         assert claim["residual"] > claim["tolerance"] == 3.0
 
     def test_sabotage_exits_nonzero(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(losses, "laplacian_quadratic", negated_laplacian_quadratic)
+        monkeypatch.setattr(equivalence, "first_order", negated_form)
         out = tmp_path / "verify"
         code = run_cli("verify", "--claims", "thm3.1a", "--out-dir", out)
         assert code == 1

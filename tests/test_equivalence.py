@@ -13,7 +13,7 @@ from spectramap import equivalence as eq, losses, optim, spectra
 from spectramap.cli import main
 from spectramap.errors import ConfigurationError, GraphStructureError
 
-from conftest import negated_laplacian_quadratic, phi, stochastic_step_loss
+from conftest import negated_form, phi, stochastic_step_loss
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,12 +27,12 @@ class TestGaussianExactness:
 
     def test_zero_embedding_trivial(self):
         V = eq.pipeline_graph(20, 3)
-        att = sm.attractive_term(V, np.zeros((V.n, 2)), sm.KernelParams.gaussian(1.0))
+        att = sm.first_order(V, np.zeros((V.n, 2)), sm.KernelParams.gaussian(1.0))[0]
         lap = sm.laplacian_quadratic(V, np.zeros((V.n, 2)))
         assert att == lap == 0.0
 
     def test_sabotage_breaks_it(self, monkeypatch):
-        monkeypatch.setattr(losses, "laplacian_quadratic", negated_laplacian_quadratic)
+        monkeypatch.setattr(eq, "first_order", negated_form)
         rep = eq.check_gaussian_exactness(30, 2, 1.0, 0)
         assert not rep.passed
 
@@ -71,12 +71,10 @@ class TestGaussianExactness:
     def test_catches_a_clamp_that_bites_only_at_init_scale(self, monkeypatch):
         # log(max(phi, 1e-12)) caps each long Gaussian edge term; edges in
         # [-0.5, 0.5]^2 are too short to reach the cap
-        def clamped(V, Y, p):
-            coo = V.matrix.tocoo()
-            s = np.sum((Y[coo.row] - Y[coo.col]) ** 2, axis=1)
-            return -float(coo.data @ np.log(np.maximum(phi(s, p), 1e-12)))
+        def clamped(s, p):
+            return np.log(np.maximum(phi(s, p), 1e-12))
 
-        monkeypatch.setattr(losses, "attractive_term", clamped)
+        monkeypatch.setattr(losses, "log_phi", clamped)
         rep = eq.check_gaussian_exactness(30, 2, 0.5, 0)
         small, large = rep.context["residuals"]
         assert small <= 1e-10 < large
@@ -315,7 +313,7 @@ class TestSuite:
             eq.run_suite(claims=[])
 
     def test_sabotage_fails_gaussian_claim(self, monkeypatch):
-        monkeypatch.setattr(losses, "laplacian_quadratic", negated_laplacian_quadratic)
+        monkeypatch.setattr(eq, "first_order", negated_form)
         result = eq.run_suite(master_seed=42, claims=["thm3.1a"])
         assert not result.all_passed
         assert all(r.claim == "thm3.1a" for r in result.reports if not r.passed)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spectramap as sm
-from spectramap import knn, losses
+from spectramap import knn, losses, spectra
 from spectramap.equivalence import pipeline_graph
 from spectramap.errors import ConfigurationError
 from spectramap.losses import LOG_CLAMP
@@ -86,8 +86,8 @@ class TestCrossEntropyLoss:
         V = random_similarity_graph(15, rng)
         Y = rng.standard_normal((15, 2)) * 0.1
         p = sm.KernelParams.gaussian(1.0)
-        a1 = sm.attractive_term(V, Y, p)
-        a3 = sm.attractive_term(V, 3.0 * Y, p)
+        a1 = sm.first_order(V, Y, p)[0]
+        a3 = sm.first_order(V, 3.0 * Y, p)[0]
         np.testing.assert_allclose(a3, 9.0 * a1, rtol=1e-10)
 
     def test_repulsion_monotone_in_separation(self):
@@ -123,7 +123,7 @@ class TestCrossEntropyLoss:
             assert abs(rep.repel - repel) <= 1e-12 * max(abs(repel), 1.0)
         blocked = sm.expected_sgd_loss(V, Y, p, n_neg)
         assert blocked == one_block
-        expected = sm.attractive_term(V, Y, p) + dense_expected_repel(V, Y, p, n_neg)
+        expected = sm.first_order(V, Y, p)[0] + dense_expected_repel(V, Y, p, n_neg)
         assert abs(blocked - expected) <= 1e-12 * abs(expected)
 
     def test_peak_memory_below_one_pair_matrix(self):
@@ -327,7 +327,7 @@ class TestExpectedSgdLoss:
         V = random_similarity_graph(8, rng)
         Y = rng.standard_normal((8, 2))
         p = sm.KernelParams.cauchy()
-        assert sm.expected_sgd_loss(V, Y, p, 0) == sm.attractive_term(V, Y, p)
+        assert sm.expected_sgd_loss(V, Y, p, 0) == sm.first_order(V, Y, p)[0]
 
     def test_single_edge_hand_value(self, k2_graph):
         # phi = 0.5 everywhere: attraction 2 log 2 plus degree-weighted
@@ -449,7 +449,7 @@ class TestPairwiseSqDists:
 
 class TestRowCountCheck:
     @pytest.mark.parametrize("loss", [
-        lambda V, Y: sm.attractive_term(V, Y, sm.KernelParams.cauchy()),
+        lambda V, Y: sm.first_order(V, Y, sm.KernelParams.gaussian(1.0))[0],
         lambda V, Y: sm.first_order(V, Y, sm.KernelParams.cauchy()),
         lambda V, Y: sm.expected_sgd_loss(V, Y, sm.KernelParams.cauchy(), 5),
         lambda V, Y: sm.cross_entropy_loss(V, Y, sm.KernelParams.gaussian(1.0)),
@@ -461,3 +461,30 @@ class TestRowCountCheck:
         Y = np.random.default_rng(31).standard_normal((7, 2))
         with pytest.raises(ConfigurationError, match="7 rows"):
             loss(p3_graph, Y)
+
+
+@pytest.mark.parametrize("p", [sm.KernelParams.gaussian(0.7), sm.KernelParams.cauchy(1.58, 0.9)],
+                         ids=["gaussian", "cauchy"])
+def test_each_loss_gathers_the_edges_once(monkeypatch, p):
+    """Every loss entry point reads the stored edges' lengths in one
+    ``edge_sq_lengths`` pass, and every edge term sums over that pass: the
+    gather is counted under both modules that bind it."""
+    gather, calls = spectra.edge_sq_lengths, []
+
+    def counted(V, Y):
+        calls.append(V)
+        return gather(V, Y)
+
+    monkeypatch.setattr(spectra, "edge_sq_lengths", counted)
+    monkeypatch.setattr(losses, "edge_sq_lengths", counted)
+    V = pipeline_graph(40, 3)
+    Y = np.random.default_rng(32).standard_normal((V.n, 2))
+    runs = [lambda: sm.cross_entropy_loss(V, Y, p), lambda: sm.first_order(V, Y, p),
+            lambda: sm.expected_sgd_loss(V, Y, p, 5),
+            lambda: sm.sampled_cross_entropy(V, Y, p, np.random.default_rng(0))]
+    counts = []
+    for run in runs:
+        calls.clear()
+        run()
+        counts.append(len(calls))
+    assert counts == [1, 1, 1, 1]
