@@ -31,8 +31,7 @@ _EXPORTS = {
                "sampled_cross_entropy", "step_losses"),
     "optim": ("EdgeSampler", "Embedding", "OptimizeResult", "OptimizerConfig", "optimize",
               "random_embedding", "spectral_embedding"),
-    "spectra": ("SpectralSolution", "laplacian_quadratic", "normalized_laplacian",
-                "spectral_init"),
+    "spectra": ("SpectralSolution", "normalized_laplacian", "spectral_init"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_MODULE_OF)

@@ -35,11 +35,14 @@ from .datasets import (DataMatrix, LabeledDataset, gen_blobs, gen_two_moons, loa
                        read_utf8, save_csv)
 from .errors import NAMED_ERRORS, ConfigurationError, require_addressable
 from .fuzzy import directed_weights, smooth_knn_params, symmetrize
-from .kernels import DEFAULT_MIN_DIST, KernelParams, fit_ab
+from .kernels import DEFAULT_MIN_DIST, MIN_DIST_MAX, KernelParams, fit_ab
 from .knn import knn_search
 from .optim import OptimizerConfig, optimize, random_embedding, spectral_embedding
 from .spectra import spectral_init
 from .svgplot import svg_scatter
+
+_MIN_DIST_HELP = (f"plateau of the target curve that (a, b) is fitted to, in "
+                  f"[0, {MIN_DIST_MAX:g}] (default %(default)s)")
 
 
 class _Failed(Exception):
@@ -96,7 +99,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     _add_data_source(e)
     e.add_argument("--k", type=int, default=15)
     e.add_argument("--dim", type=int, default=2)
-    e.add_argument("--min-dist", type=float, default=DEFAULT_MIN_DIST)
+    e.add_argument("--min-dist", type=float, default=DEFAULT_MIN_DIST, help=_MIN_DIST_HELP)
     e.add_argument("--kernel", choices=["cauchy", "gaussian"], default="cauchy")
     e.add_argument("--tau", type=float, default=1.0)
     e.add_argument("--a", type=float, help="override the fitted kernel a")
@@ -123,7 +126,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
 
     f = sub.add_parser("fit-ab", help="fit kernel (a, b) from min-dist")
     _add_common(f)
-    f.add_argument("--min-dist", type=float, default=DEFAULT_MIN_DIST)
+    f.add_argument("--min-dist", type=float, default=DEFAULT_MIN_DIST, help=_MIN_DIST_HELP)
 
     return parser
 

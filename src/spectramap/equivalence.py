@@ -10,7 +10,7 @@ reports the measured residual against its tolerance. Claim ids:
     thm3.1c          spectral layout minimizes the normalized trace objective
     eq13_montecarlo  sampled step losses average to the expected epoch loss
                      (a 3-standard-error test: fails for ~0.27% of seeds)
-    lemmaA1          edge-sum and matrix forms of the quadratic identity agree
+    lemmaA1          the Gaussian form's edge sum equals the matrix form tr(Z^T L Z)
     eq20_bound       the curvature bound dominates the Cauchy attraction's gap to a sum w s^b
     a3_relaxation    (L, D) generalized eigenpairs map onto normalized ones
 
@@ -35,9 +35,9 @@ from .datasets import gen_blobs
 from .errors import ConfigurationError, GraphStructureError
 from .fuzzy import SimilarityGraph, build_similarity_graph
 from .kernels import DEFAULT_MIN_DIST, KernelParams, fit_ab
-from .losses import expected_sgd_loss, first_order, step_losses
+from .losses import edge_sq_lengths, expected_sgd_loss, first_order, step_losses
 from .optim import SPECTRAL_MAX_ABS, EdgeSampler
-from .spectra import edge_sq_lengths, laplacian_quadratic, normalized_laplacian, spectral_init
+from .spectra import normalized_laplacian, spectral_init
 
 # the dense oracles treat eigenvalues at or below this as the zero eigenspace
 NULL_SPACE_TOL = 1e-8
@@ -310,8 +310,13 @@ def check_expected_loss(
 
 
 def check_laplacian_identity(trials: int, seed) -> EquivalenceReport:
-    """Edge-sum vs dense-trace forms of the quadratic identity, worst case."""
+    """Edge-sum vs dense-trace forms of the quadratic identity, worst case.
+
+    The edge sum is ``first_order``'s Gaussian form at tau = 1, the dense
+    side sum Z * (L @ Z) with L = D - W.
+    """
     rng = np.random.default_rng(seed)
+    p = KernelParams.gaussian(1.0)
     worst = 0.0
     for _ in range(trials):
         n = int(rng.integers(2, 51))
@@ -321,7 +326,7 @@ def check_laplacian_identity(trials: int, seed) -> EquivalenceReport:
         np.fill_diagonal(W, 0.0)
         Z = rng.standard_normal((n, d))
         graph = SimilarityGraph.from_dense(W)
-        edge_form = laplacian_quadratic(graph, Z)
+        edge_form = first_order(graph, Z, p)[1]
         L = np.diag(W.sum(axis=1)) - W
         dense_form = float(np.sum(Z * (L @ Z)))
         rel = abs(edge_form - dense_form) / max(abs(dense_form), 1e-300)

@@ -29,6 +29,9 @@ from .errors import ConfigurationError, KernelFitError
 
 # the min-dist that ``embed`` and ``fit-ab`` fit (a, b) at unless told otherwise
 DEFAULT_MIN_DIST = 0.1
+# largest min-dist ``fit_ab`` accepts: umap-learn's min_dist <= spread rule at
+# the target curve's unit spread; past it a falls toward 0 (4e-15 at 2.77)
+MIN_DIST_MAX = 1.0
 FIT_GRID_STEP = 0.01
 FIT_GRID_MAX = 3.0
 FIT_MAX_ITERS = 200
@@ -153,9 +156,10 @@ def fit_ab(min_dist: float) -> MinDistFit:
 
     Gauss-Newton from (a, b) = (1, 1) with step halving, on the distance grid
     {0.00, 0.01, ..., 3.00}; converged when the step norm drops below 1e-10.
+    Accepts min_dist in [0, ``MIN_DIST_MAX``].
     """
-    if not (0.0 <= min_dist < FIT_GRID_MAX):
-        raise ConfigurationError(f"min_dist must be in [0, {FIT_GRID_MAX})")
+    if not (0.0 <= min_dist <= MIN_DIST_MAX):
+        raise ConfigurationError(f"min_dist must be in [0, {MIN_DIST_MAX:g}]")
 
     grid = np.arange(0.0, FIT_GRID_MAX + FIT_GRID_STEP / 2, FIT_GRID_STEP)
     y = target_curve(grid, min_dist)

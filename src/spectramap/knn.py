@@ -6,10 +6,10 @@ coordinate order, and ranks each row by (delta, index): equal distances
 resolve to the smaller index. Duplicate points (zero distance) are legitimate
 neighbors and are kept; only the query point itself is excluded.
 ``knn_search`` returns that ranking and those distances bit for bit, through
-one code path at every dimension D. ``sq_norms`` and ``block_sq_dists``
-hold this arithmetic for the whole package; outside the screen below, the
-one exception is the ``np.vecdot`` of the kernels' row-wise gradients,
-kept because the optimizer's trajectory is pinned to its bits.
+one code path at every dimension D. ``sq_norms`` holds this arithmetic
+for the whole package; outside the screen below, the one exception is the
+``np.vecdot`` of the kernels' row-wise gradients, kept because the
+optimizer's trajectory is pinned to its bits.
 
 Overflow rule. Rounding is monotone, so every delta_ij is at most the same
 coordinate-order sum of (max_t - min_t)^2. ``knn_search`` computes that sum
@@ -110,21 +110,22 @@ class KnnGraph:
     exact_evals: int
 
 
-def row_block_buffers(n: int, count: int):
+def row_block_buffers(n: int):
     """Consecutive (start, stop) row ranges whose n-column float64 block takes
-    about ``BLOCK_BYTES`` (at least one row each), each with ``count`` float64
-    (stop - start, n) arrays, views of buffers allocated once for the whole
-    sweep: a fresh block-sized array per block is page-faulted anew each time."""
+    about ``BLOCK_BYTES`` (at least one row each), each with a float64
+    (stop - start, n) array, a view of one buffer allocated once for the
+    whole sweep: a fresh block-sized array per block is page-faulted anew
+    each time."""
     block = max(1, BLOCK_BYTES // (8 * n))
-    bufs = [np.empty(min(block, n) * n) for _ in range(count)]
+    buf = np.empty(min(block, n) * n)
     for start in range(0, n, block):
         stop = min(n, start + block)
-        yield (start, stop, *(b[: (stop - start) * n].reshape(-1, n) for b in bufs))
+        yield start, stop, buf[: (stop - start) * n].reshape(-1, n)
 
 
 def sq_norms(diff: np.ndarray) -> np.ndarray:
     """Squared norm of each row (along the last axis) of the float64 array
-    ``diff``, (m, d) or (m, n_neg, d), with the reference's arithmetic:
+    ``diff``, any (..., d) shape or view, with the reference's arithmetic:
     ``diff`` is squared in place (its values are consumed) and the
     coordinates are added in order."""
     diff *= diff
@@ -132,23 +133,6 @@ def sq_norms(diff: np.ndarray) -> np.ndarray:
     for t in range(1, diff.shape[-1]):
         s += diff[..., t]
     return s
-
-
-def block_sq_dists(
-    cols: list[np.ndarray], start: int, stop: int, out: np.ndarray, work: np.ndarray
-) -> np.ndarray:
-    """Squared distances from rows [start, stop) to every point, written to
-    ``out`` and summed in coordinate order with in-place subtract, square
-    and add; ``work`` is a spare array of the same (stop - start, n) shape.
-
-    ``cols`` holds one contiguous array per coordinate. Entry (i, j) equals
-    entry (j, i) bit for bit, since (y_j - y_i)^2 == (y_i - y_j)^2 exactly."""
-    out.fill(0.0)
-    for col in cols:
-        np.subtract(col[None, :], col[start:stop, None], out=work)
-        np.multiply(work, work, out=work)
-        np.add(out, work, out=out)
-    return out
 
 
 def _check_spread(points: np.ndarray) -> None:
@@ -205,7 +189,7 @@ def knn_search(X: DataMatrix, k: int) -> KnnGraph:
     indices = np.empty((n, k), dtype=np.int64)
     distances = np.empty((n, k), dtype=np.float64)
     exact_evals = 0
-    for start, stop, A in row_block_buffers(n, 1):
+    for start, stop, A in row_block_buffers(n):
         m = stop - start
         own = np.arange(m)
         # A holds the screen's A side, then its B side

@@ -12,18 +12,20 @@ edges, the repulsion is evaluated as an all-pairs sum minus an edge give-back,
     repel = sum_i r_i + sum_edges v_ij * log(1 - phi(s_ij)),
     r_i   = -sum_{j != i} log(1 - phi(s_ij)),
 
-where the row sums r_i run over cache-sized ``knn.row_block_buffers`` with
-the coordinate-order ``knn.block_sq_dists``, so no n x n array is ever
-held, and every edge term (attraction, form, bound, give-back) sums, by
-``spectra.edge_sum``, the stored edges' lengths from one
-``spectra.edge_sq_lengths`` pass per loss evaluation.
+where the row sums r_i run over row blocks of about ``knn.BLOCK_BYTES``,
+each scored by ``knn.sq_norms``, so no n x n array is ever held, and every
+edge term (attraction, form, bound, give-back) sums, by ``edge_sum``, the
+stored edges' lengths from one ``edge_sq_lengths`` pass per loss
+evaluation.
 Every attraction log is the closed-form ``log_phi``, finite at any distance
 for both kernel families, so for the Gaussian kernel the attraction equals
 (1/tau) * tr(Y^T L Y) identically at every scale; for the heavy-tailed
 kernel it lies below the p-Laplacian energy a * sum w s^b (p = 2b;
 2a * tr(Y^T L Y) at b = 1) by at most a curvature bound. ``first_order``
-computes the form and the bound for both families. Only the repulsion
-clamps its log (see ``LOG_CLAMP``).
+computes the form and the bound for both families; at tau = 1 the
+Gaussian form is the Laplacian quadratic tr(Z^T L Z) = 1/2 sum_ij w_ij
+||Z_i - Z_j||^2 itself, the edge sum that the lemmaA1 claim checks against
+the dense matrix. Only the repulsion clamps its log (see ``LOG_CLAMP``).
 ``expected_sgd_loss`` is the per-epoch expectation of the negative-sampling
 estimator: positives weighted by v_ab, negatives uniform over vertices with
 the degree-weighted prefactor n_neg/n, which is deg @ r.
@@ -49,8 +51,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .fuzzy import SimilarityGraph
 from .kernels import KernelParams, log_phi, one_minus_phi
-from .knn import block_sq_dists, row_block_buffers, sq_norms
-from .spectra import edge_sq_lengths, edge_sum
+from .knn import BLOCK_BYTES, sq_norms
 
 # Floor under 1 - phi in the repulsion logs, which are -inf at coincident
 # points. The attraction never clamps: it uses the closed-form log_phi.
@@ -69,19 +70,48 @@ def repel_logs(s: np.ndarray, p: KernelParams) -> np.ndarray:
 def repel_row_sums(Y: np.ndarray, p: KernelParams) -> np.ndarray:
     """r_i = -sum_{j != i} log(max(1 - phi(s_ij), LOG_CLAMP)) for every row i.
 
-    Evaluated one ``row_block_buffers`` block at a time; each row is summed
-    whole, so the result does not depend on the block size.
+    Evaluated m rows at a time, with m sized so the block's (d, m, n)
+    coordinate differences take about ``BLOCK_BYTES``. The differences are
+    laid out coordinate-major, so ``sq_norms`` adds contiguous (m, n)
+    planes; each row is summed whole, so the result does not depend on m.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    n = Y.shape[0]
-    cols = [np.ascontiguousarray(c) for c in Y.T]
+    n, d = Y.shape
+    cols = np.ascontiguousarray(Y.T)
+    block = max(1, BLOCK_BYTES // (8 * n * d))
     rows = np.empty(n)
-    for start, stop, d2, work in row_block_buffers(n, 2):
-        log_q = repel_logs(block_sq_dists(cols, start, stop, d2, work), p)
+    for start in range(0, n, block):
+        stop = min(n, start + block)
+        diff = cols[:, None, :] - cols[:, start:stop, None]
+        log_q = repel_logs(sq_norms(np.moveaxis(diff, 0, -1)), p)
         own = np.arange(stop - start)
         log_q[own, start + own] = 0.0
         rows[start:stop] = -log_q.sum(axis=1)
     return rows
+
+
+def edge_sq_lengths(V: SimilarityGraph, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights w and squared lengths s = ||Y_i - Y_j||^2 of the stored edges.
+
+    Reads the graph's canonical edge arrays, in their row-major order, with
+    both orientations of each undirected edge; no sparse matrix is built.
+    Every edge-sum form (attraction, quadratic form, curvature bound) reads
+    its lengths here, with ``knn.sq_norms``'s arithmetic, so each equals
+    ``repel_row_sums``'s distance at its pair bit for bit; rejects a Y whose
+    row count is not the graph's vertex count.
+    """
+    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
+    if Y.shape[0] != V.n:
+        raise ConfigurationError(
+            f"Y has {Y.shape[0]} rows but the graph has {V.n} vertices"
+        )
+    return V.weights, sq_norms(Y.take(V.rows, axis=0) - Y.take(V.cols, axis=0))
+
+
+def edge_sum(w: np.ndarray, x: np.ndarray) -> float:
+    """sum_e w_e x_e by ``np.einsum``, which runs no BLAS and allocates nothing:
+    the same bits at any thread count, where ``ddot`` splits long sums."""
+    return float(np.einsum("i,i->", w, x))
 
 
 @dataclass(frozen=True)

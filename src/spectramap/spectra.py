@@ -1,15 +1,11 @@
-"""The spectral step of ``embed``: Lnorm, its quadratic form, spectral layout.
+"""The spectral step of ``embed``: Lnorm and the block solver for its layout.
 
 For a symmetric weight matrix W with degrees d_i = sum_j W_ij, the
 combinatorial Laplacian is L = D - W and the normalized Laplacian is
 Lnorm = D^{-1/2} L D^{-1/2}. ``normalized_laplacian`` builds Lnorm from the
-graph's ``matrix`` and its degrees. The central identity
-
-    tr(Z^T L Z) = 1/2 * sum_ij W_ij ||Z_i - Z_j||^2
-
-lets the quadratic form be evaluated as a sum over stored edges, which is
-how ``laplacian_quadratic`` computes it; the dense matrix product is kept
-only as an independent cross-check in the test suite.
+graph's ``matrix`` and its degrees. The quadratic form tr(Z^T L Z), the
+half-sum of W_ij ||Z_i - Z_j||^2 over the stored edges, is the Gaussian
+form of ``losses.first_order``.
 
 ``spectral_init`` needs only the d eigenpairs of Lnorm just above its null
 space, and that null space is known exactly: one vector D^{1/2} 1_c per
@@ -34,7 +30,8 @@ to the claims in ``equivalence``.
 
 ``normalized_laplacian`` and ``_filtered_subspace`` import ``scipy.sparse``
 in their bodies, for the reason given in ``fuzzy``: importing this module
-loads numpy, ``fuzzy`` and ``knn``, and no scipy module.
+loads numpy, ``errors`` and ``fuzzy`` with its own imports, and no scipy
+module.
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ import numpy as np
 
 from .errors import ConfigurationError, EigensolverError, GraphStructureError
 from .fuzzy import SimilarityGraph
-from .knn import sq_norms
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -75,35 +71,6 @@ def normalized_laplacian(V: SimilarityGraph) -> sp.csr_matrix:
         )
     inv_sqrt = sp.diags(1.0 / np.sqrt(deg))
     return (inv_sqrt @ (sp.diags(deg) - V.matrix).tocsr() @ inv_sqrt).tocsr()
-
-
-def edge_sq_lengths(V: SimilarityGraph, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weights w and squared lengths s = ||Y_i - Y_j||^2 of the stored edges.
-
-    Reads the graph's canonical edge arrays, in their row-major order, with
-    both orientations of each undirected edge; no sparse matrix is built.
-    Every edge-sum form (attraction, quadratic form, curvature bound) reads
-    its lengths here, with ``knn.sq_norms``'s arithmetic, so each equals the
-    all-pairs ``knn.block_sq_dists`` at its pair bit for bit; rejects a Y
-    whose row count is not the graph's vertex count.
-    """
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    if Y.shape[0] != V.n:
-        raise ConfigurationError(
-            f"Y has {Y.shape[0]} rows but the graph has {V.n} vertices"
-        )
-    return V.weights, sq_norms(Y.take(V.rows, axis=0) - Y.take(V.cols, axis=0))
-
-
-def edge_sum(w: np.ndarray, x: np.ndarray) -> float:
-    """sum_e w_e x_e by ``np.einsum``, which runs no BLAS and allocates nothing:
-    the same bits at any thread count, where ``ddot`` splits long sums."""
-    return float(np.einsum("i,i->", w, x))
-
-
-def laplacian_quadratic(V: SimilarityGraph, Z: np.ndarray) -> float:
-    """tr(Z^T L(V) Z) evaluated as the half-sum of w_ij ||Z_i - Z_j||^2 over edges."""
-    return 0.5 * edge_sum(*edge_sq_lengths(V, Z))
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,12 @@ def log_one_minus_phi(sq_dist, p, eps=0.0):
     return out if out.ndim else float(out)
 
 
+def laplacian_quadratic(V, Z):
+    """tr(Z^T L(V) Z) as the package computes it: ``first_order``'s Gaussian
+    form at tau = 1, the half-sum of w_ij ||Z_i - Z_j||^2 over stored edges."""
+    return sm.first_order(V, Z, sm.KernelParams.gaussian(1.0))[1]
+
+
 def negated_form(V, Y, p):
     """``first_order`` with its form's sign flipped: the claim suite must fail on it."""
     attract, form, bound = sm.first_order(V, Y, p)

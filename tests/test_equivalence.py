@@ -27,8 +27,7 @@ class TestGaussianExactness:
 
     def test_zero_embedding_trivial(self):
         V = eq.pipeline_graph(20, 3)
-        att = sm.first_order(V, np.zeros((V.n, 2)), sm.KernelParams.gaussian(1.0))[0]
-        lap = sm.laplacian_quadratic(V, np.zeros((V.n, 2)))
+        att, lap, _ = sm.first_order(V, np.zeros((V.n, 2)), sm.KernelParams.gaussian(1.0))
         assert att == lap == 0.0
 
     def test_sabotage_breaks_it(self, monkeypatch):
@@ -57,13 +56,12 @@ class TestGaussianExactness:
 
     def test_wrong_edge_lengths_fail_it(self, monkeypatch):
         # both sides under test read edge_sq_lengths; the matrix route does not
-        edge_sq_lengths = spectra.edge_sq_lengths
+        edge_sq_lengths = losses.edge_sq_lengths
 
         def skewed(V, Y):
             w, s = edge_sq_lengths(V, Y)
             return 1.3 * w, 0.7 * s + 0.01
 
-        monkeypatch.setattr(spectra, "edge_sq_lengths", skewed)
         monkeypatch.setattr(losses, "edge_sq_lengths", skewed)
         result = eq.run_suite(42, claims=["thm3.1a"])
         assert [r.passed for r in result.reports] == [False] * 4
@@ -373,13 +371,13 @@ class TestSuite:
 
 def _scaled_edge_weights(monkeypatch):
     """Edge weights x1.3 inside ``edge_sq_lengths``, at every module that binds it."""
-    edge_sq_lengths = spectra.edge_sq_lengths
+    edge_sq_lengths = losses.edge_sq_lengths
 
     def scaled(V, Y):
         w, s = edge_sq_lengths(V, Y)
         return 1.3 * w, s
 
-    for module in (spectra, losses, eq):
+    for module in (losses, eq):
         monkeypatch.setattr(module, "edge_sq_lengths", scaled)
 
 
@@ -455,3 +453,42 @@ def test_fault_matrix(monkeypatch, fault, claims):
     fault(monkeypatch)
     result = eq.run_suite(42, claims=claims)
     assert sorted({r.claim for r in result.reports if not r.passed}) == sorted(claims)
+
+
+def _attraction_scaled(monkeypatch):
+    """The attractive gradient that ``optimize`` applies, x1.5."""
+    grad = optim.grad_log_phi_rows
+    monkeypatch.setattr(optim, "grad_log_phi_rows", lambda diff, p: 1.5 * grad(diff, p))
+
+
+def _repulsion_flipped(monkeypatch):
+    """The repulsive gradient that ``optimize`` applies, with its sign flipped."""
+    grad = optim.grad_log_one_minus_phi_rows
+    monkeypatch.setattr(optim, "grad_log_one_minus_phi_rows",
+                        lambda diff, p, eps: -grad(diff, p, eps))
+
+
+UPDATE_FAULTS = pytest.mark.parametrize("fault", [_attraction_scaled, _repulsion_flipped],
+                                        ids=["attraction-x1.5", "repulsion-flipped"])
+
+
+@UPDATE_FAULTS
+def test_update_faults_move_the_trajectory(monkeypatch, fault):
+    """Each fault in the update is live: it changes ``optimize``'s coordinates."""
+    V = eq.pipeline_graph(40, 3)
+    Y0 = sm.random_embedding(V.n, 2, 3)
+    p = sm.KernelParams.cauchy(1.58, 0.9)
+    cfg = sm.OptimizerConfig(n_epochs=2, seed=1)
+    clean = sm.optimize(V, Y0, p, cfg, track_loss=False).embedding.coords
+    fault(monkeypatch)
+    faulty = sm.optimize(V, Y0, p, cfg, track_loss=False).embedding.coords
+    assert not np.array_equal(clean, faulty)
+
+
+@UPDATE_FAULTS
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="no claim certifies the update that optimize applies "
+                   "(ROADMAP item 11); the claim that does moves both faults into "
+                   "test_fault_matrix")
+def test_update_faults_fail_a_claim(monkeypatch, fault):
+    fault(monkeypatch)
+    assert not eq.run_suite(42).all_passed

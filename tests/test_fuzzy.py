@@ -9,7 +9,7 @@ import spectramap as sm
 from spectramap.errors import ConfigurationError, GraphStructureError
 from spectramap.fuzzy import BRACKET_HI, t_conorm
 from spectramap.knn import KnnGraph
-from spectramap.spectra import edge_sq_lengths
+from spectramap.losses import edge_sq_lengths
 
 from conftest import graph_from_sparse, read_edge_list
 

@@ -97,10 +97,24 @@ class TestFitAb:
         assert fits[0] > fits[1] > fits[2]
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ConfigurationError):
-            sm.fit_ab(3.0)
-        with pytest.raises(ConfigurationError):
-            sm.fit_ab(-0.1)
+        # past min_dist = 1 the fit degenerates: at 2.77 it "converges" to
+        # a ~ 4e-15, and from 2.78 up it raises KernelFitError after 200
+        # iterations; each is rejected before the first step
+        for min_dist in (3.0, -0.1, 1.01, 2.77, 2.78, float("nan")):
+            with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
+                sm.fit_ab(min_dist)
+
+    def test_every_accepted_min_dist_converges(self):
+        fits = [sm.fit_ab(i / 100) for i in range(101)]
+        a = np.array([f.fitted_a for f in fits])
+        b = np.array([f.fitted_b for f in fits])
+        assert a.min() >= 0.114 and b.max() <= 1.93 and b.min() >= 0.79
+        assert np.all(np.diff(a) < 0)
+
+    def test_default_fit_keeps_its_bits(self):
+        # every default embed and verify's fitted kernel start from these
+        fit = sm.fit_ab(0.1)
+        assert (fit.fitted_a, fit.fitted_b) == (1.5769420583957008, 0.8950617801467651)
 
 
 class TestAttractiveGradient:

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spectramap as sm
-from spectramap import knn, losses, spectra
+from spectramap import knn, losses
 from spectramap.equivalence import pipeline_graph
 from spectramap.errors import ConfigurationError
-from spectramap.losses import LOG_CLAMP
-from spectramap.spectra import edge_sq_lengths, edge_sum
+from spectramap.losses import LOG_CLAMP, edge_sq_lengths, edge_sum
 
-from conftest import random_similarity_graph, stochastic_step_loss
+from conftest import laplacian_quadratic, random_similarity_graph, stochastic_step_loss
 
 
 def dense_loss_oracle(V, Y, p):
@@ -114,8 +113,8 @@ class TestCrossEntropyLoss:
         Y = rng.standard_normal((n, 3))
         p = sm.KernelParams.cauchy(1.2, 0.9)
         one_block = sm.expected_sgd_loss(V, Y, p, n_neg)
-        monkeypatch.setattr(knn, "BLOCK_BYTES", 8 * n * 7)
-        assert len(list(knn.row_block_buffers(n, 0))) == 6
+        # seven rows of a (3, 7, n) difference block: five full blocks and a partial one
+        monkeypatch.setattr(losses, "BLOCK_BYTES", 8 * 3 * n * 7)
         for q in (p, sm.KernelParams.gaussian(0.9)):
             rep = sm.cross_entropy_loss(V, Y, q)
             attract, repel = dense_loss_oracle(V, Y, q)
@@ -127,7 +126,7 @@ class TestCrossEntropyLoss:
         assert abs(blocked - expected) <= 1e-12 * abs(expected)
 
     def test_peak_memory_below_one_pair_matrix(self):
-        # the loss works in row blocks of about knn.BLOCK_BYTES; it must never
+        # the loss works in row blocks of about losses.BLOCK_BYTES; it must never
         # hold an n x n float64 array
         n = 1600
         V = pipeline_graph(n, 3)
@@ -309,7 +308,7 @@ class TestFirstOrderRule:
         V, Y = case
         _, form, bound = sm.first_order(V, Y, sm.KernelParams.cauchy(a, 1.0))
         w, s = edge_sq_lengths(V, Y)
-        assert form == 2 * a * sm.laplacian_quadratic(V, Y)
+        assert form == 2 * a * laplacian_quadratic(V, Y)
         assert bound == 0.5 * a * a * edge_sum(w, s * s)
 
     @settings(max_examples=300, deadline=None)
@@ -317,7 +316,7 @@ class TestFirstOrderRule:
     def test_gaussian_is_the_laplacian_form_bit_for_bit(self, case, tau):
         V, Y = case
         _, form, bound = sm.first_order(V, Y, sm.KernelParams.gaussian(tau))
-        assert form == (1.0 / tau) * sm.laplacian_quadratic(V, Y)
+        assert form == (1.0 / tau) * laplacian_quadratic(V, Y)
         assert bound is None
 
 
@@ -415,10 +414,21 @@ class TestStochasticStepLoss:
 
 
 def all_pair_sq_dists(Y):
-    """knn.block_sq_dists over one block holding every row."""
-    n = len(Y)
-    cols = [np.ascontiguousarray(c) for c in Y.T]
-    return knn.block_sq_dists(cols, 0, n, np.empty((n, n)), np.empty((n, n)))
+    """The (n, n) squared distances by ``knn.sq_norms``, the arithmetic the
+    loss's row sums and edge lengths share."""
+    Y = np.asarray(Y, dtype=np.float64)
+    return knn.sq_norms(Y[None, :] - Y[:, None])
+
+
+def row_sums_oracle(Y, p):
+    """``repel_row_sums`` one row at a time, with no blocking."""
+    Y = np.asarray(Y, dtype=np.float64)
+    rows = np.empty(len(Y))
+    for i in range(len(Y)):
+        log_q = losses.repel_logs(knn.sq_norms(Y - Y[i]), p)
+        log_q[i] = 0.0
+        rows[i] = -log_q.sum()
+    return rows
 
 
 class TestPairwiseSqDists:
@@ -447,6 +457,25 @@ class TestPairwiseSqDists:
         assert np.array_equal(s, all_pair_sq_dists(Y)[V.rows, V.cols])
 
 
+class TestRepelRowSums:
+    @pytest.mark.parametrize("p", [sm.KernelParams.cauchy(1.58, 0.9), sm.KernelParams.gaussian(0.7)],
+                             ids=["cauchy", "gaussian"])
+    @pytest.mark.parametrize("n,d,rows_per_block", [
+        (8, 2, None), (300, 1, None), (300, 3, None), (1000, 2, None), (500, 16, None),
+        (40, 3, 7), (61, 16, 5), (200, 2, 9),
+    ])
+    def test_bit_equal_to_the_row_by_row_oracle(self, monkeypatch, p, n, d, rows_per_block):
+        """Every block size gives the row-at-a-time sums bit for bit; the
+        patched cases run several blocks, the last one partial."""
+        rng = np.random.default_rng(n * 100 + d)
+        # coordinates of mixed magnitudes make the summation order show
+        Y = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-2, 2, size=(n, d))
+        if rows_per_block is not None:
+            assert n % rows_per_block
+            monkeypatch.setattr(losses, "BLOCK_BYTES", 8 * d * n * rows_per_block)
+        assert np.array_equal(losses.repel_row_sums(Y, p), row_sums_oracle(Y, p))
+
+
 class TestRowCountCheck:
     @pytest.mark.parametrize("loss", [
         lambda V, Y: sm.first_order(V, Y, sm.KernelParams.gaussian(1.0))[0],
@@ -468,14 +497,13 @@ class TestRowCountCheck:
 def test_each_loss_gathers_the_edges_once(monkeypatch, p):
     """Every loss entry point reads the stored edges' lengths in one
     ``edge_sq_lengths`` pass, and every edge term sums over that pass: the
-    gather is counted under both modules that bind it."""
-    gather, calls = spectra.edge_sq_lengths, []
+    gather is counted where the losses read it."""
+    gather, calls = losses.edge_sq_lengths, []
 
     def counted(V, Y):
         calls.append(V)
         return gather(V, Y)
 
-    monkeypatch.setattr(spectra, "edge_sq_lengths", counted)
     monkeypatch.setattr(losses, "edge_sq_lengths", counted)
     V = pipeline_graph(40, 3)
     Y = np.random.default_rng(32).standard_normal((V.n, 2))

@@ -182,6 +182,16 @@ def imports_module(source: str, module: str) -> bool:
     return False
 
 
+def package_imports(source: str) -> list[str]:
+    """The package modules the source imports by ``from .module import …``
+    or ``from . import module``, at any depth, sorted."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else [a.name for a in node.names])
+    return sorted(found)
+
+
 def scipy_imports(source: str) -> list[str]:
     """``scope:module`` for each scipy module the source imports, by
     ``import``, ``from … import`` or ``import_module`` of a literal name,
@@ -302,6 +312,35 @@ def test_only_the_cli_imports_json():
     output file writes a non-finite float."""
     assert [p.name for p in SOURCES
             if imports_module(p.read_text(encoding="utf-8"), "json")] == ["cli.py"]
+
+
+def test_finds_a_package_import():
+    source = ("from . import equivalence\nfrom .knn import sq_norms\nimport json\n"
+              "from numpy import linalg\ndef f():\n    from .spectra import spectral_init\n")
+    assert package_imports(source) == ["equivalence", "knn", "spectra"]
+
+
+# each module's imports from the package: a new edge between two modules
+# shows here as a diff. ``losses`` holds the edge sums and needs no
+# ``spectra``; ``spectra`` holds Lnorm and its solver and needs no ``knn``.
+IMPORT_GRAPH = {
+    "cli": ["datasets", "equivalence", "errors", "fuzzy", "kernels", "knn", "optim", "spectra",
+            "svgplot"],
+    "datasets": ["errors"],
+    "equivalence": ["datasets", "errors", "fuzzy", "kernels", "losses", "optim", "spectra"],
+    "errors": [],
+    "fuzzy": ["datasets", "errors", "knn"],
+    "kernels": ["errors"],
+    "knn": ["datasets", "errors"],
+    "losses": ["errors", "fuzzy", "kernels", "knn"],
+    "optim": ["errors", "fuzzy", "kernels", "losses", "spectra"],
+    "spectra": ["errors", "fuzzy"],
+    "svgplot": [],
+}
+
+
+def test_import_graph_is_pinned():
+    assert {p.stem: package_imports(p.read_text(encoding="utf-8")) for p in MODULES} == IMPORT_GRAPH
 
 
 def test_finds_a_scipy_import():
