@@ -110,19 +110,6 @@ class KnnGraph:
     exact_evals: int
 
 
-def row_block_buffers(n: int):
-    """Consecutive (start, stop) row ranges whose n-column float64 block takes
-    about ``BLOCK_BYTES`` (at least one row each), each with a float64
-    (stop - start, n) array, a view of one buffer allocated once for the
-    whole sweep: a fresh block-sized array per block is page-faulted anew
-    each time."""
-    block = max(1, BLOCK_BYTES // (8 * n))
-    buf = np.empty(min(block, n) * n)
-    for start in range(0, n, block):
-        stop = min(n, start + block)
-        yield start, stop, buf[: (stop - start) * n].reshape(-1, n)
-
-
 def sq_norms(diff: np.ndarray) -> np.ndarray:
     """Squared norm of each row (along the last axis) of the float64 array
     ``diff``, any (..., d) shape or view, with the reference's arithmetic:
@@ -189,8 +176,14 @@ def knn_search(X: DataMatrix, k: int) -> KnnGraph:
     indices = np.empty((n, k), dtype=np.int64)
     distances = np.empty((n, k), dtype=np.float64)
     exact_evals = 0
-    for start, stop, A in row_block_buffers(n):
+    # rows per block, so an n-column float64 block takes about BLOCK_BYTES;
+    # every block's screen is a view of one buffer
+    block = max(1, BLOCK_BYTES // (8 * n))
+    buf = np.empty(min(block, n) * n)
+    for start in range(0, n, block):
+        stop = min(n, start + block)
         m = stop - start
+        A = buf[: m * n].reshape(m, n)
         own = np.arange(m)
         # A holds the screen's A side, then its B side
         np.matmul(-2.0 * C[start:stop], C.T, out=A)

@@ -15,6 +15,21 @@ from spectramap.losses import LOG_CLAMP, edge_sq_lengths, edge_sum
 from conftest import laplacian_quadratic, random_similarity_graph, stochastic_step_loss
 
 
+def count_row_blocks(monkeypatch):
+    """Patch the ``sq_norms`` that ``losses`` reads so it records the row
+    count of every 3-D input, the (m, n, d) blocks of ``repel_row_sums``;
+    returns the list it appends to."""
+    blocks = []
+
+    def counted(diff):
+        if diff.ndim == 3:
+            blocks.append(diff.shape[0])
+        return knn.sq_norms(diff)
+
+    monkeypatch.setattr(losses, "sq_norms", counted)
+    return blocks
+
+
 def dense_loss_oracle(V, Y, p):
     """Naive double loop over ordered pairs with the same log policy: the
     attraction takes the unclamped closed-form log phi, the repulsion clamps
@@ -112,15 +127,21 @@ class TestCrossEntropyLoss:
         V = random_similarity_graph(n, rng)
         Y = rng.standard_normal((n, 3))
         p = sm.KernelParams.cauchy(1.2, 0.9)
+        blocks = count_row_blocks(monkeypatch)
         one_block = sm.expected_sgd_loss(V, Y, p, n_neg)
+        assert blocks == [n]
         # seven rows of a (3, 7, n) difference block: five full blocks and a partial one
         monkeypatch.setattr(losses, "BLOCK_BYTES", 8 * 3 * n * 7)
         for q in (p, sm.KernelParams.gaussian(0.9)):
+            blocks.clear()
             rep = sm.cross_entropy_loss(V, Y, q)
+            assert blocks == [7] * 5 + [5]
             attract, repel = dense_loss_oracle(V, Y, q)
             assert abs(rep.attract - attract) <= 1e-12 * max(abs(attract), 1.0)
             assert abs(rep.repel - repel) <= 1e-12 * max(abs(repel), 1.0)
+        blocks.clear()
         blocked = sm.expected_sgd_loss(V, Y, p, n_neg)
+        assert blocks == [7] * 5 + [5]
         assert blocked == one_block
         expected = sm.first_order(V, Y, p)[0] + dense_expected_repel(V, Y, p, n_neg)
         assert abs(blocked - expected) <= 1e-12 * abs(expected)
@@ -473,7 +494,11 @@ class TestRepelRowSums:
         if rows_per_block is not None:
             assert n % rows_per_block
             monkeypatch.setattr(losses, "BLOCK_BYTES", 8 * d * n * rows_per_block)
+        blocks = count_row_blocks(monkeypatch)
         assert np.array_equal(losses.repel_row_sums(Y, p), row_sums_oracle(Y, p))
+        if rows_per_block is not None:
+            full, last = divmod(n, rows_per_block)
+            assert blocks == [rows_per_block] * full + [last]
 
 
 class TestRowCountCheck:
